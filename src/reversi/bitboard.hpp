@@ -6,8 +6,8 @@
 // propagate from own discs through opponent discs, then step once more into
 // empty squares.
 //
-// Everything here is constexpr and branch-light: these functions are the
-// inner loop of both the scalar playout and the SIMT playout kernel.
+// The scalar primitives are constexpr and branch-light: the playout ply
+// (reversi_game.hpp) inlines them, scalar and batched.
 #pragma once
 
 #include <bit>
@@ -128,65 +128,18 @@ constexpr int pop_lsb(Bitboard& b) noexcept {
 // AVX-512 register, 4 per AVX2). The scalar bracket branch in
 // flips_for_move becomes a `0 - (cond)` select mask — branch-free, so one
 // lane's divergence never serializes the batch.
+//
+// They are compiled out-of-line in bitboard_batch.cpp together with the
+// playout ply that inlines them, and bound at load time to the host's
+// best ISA variant (reversi_game.hpp, DESIGN.md §17.4).
 // ---------------------------------------------------------------------------
 
-/// Accumulates `own`-to-move placement squares along direction D for n
-/// lanes: moves[i] |= the D-ray component of legal_moves_mask(own[i],
-/// opp[i]).
-template <Direction D>
-constexpr void accumulate_moves_batch(const Bitboard* own, const Bitboard* opp,
-                                      Bitboard* moves, int n) noexcept {
-  for (int i = 0; i < n; ++i) {
-    const Bitboard o = opp[i];
-    Bitboard flood = shift(own[i], D) & o;
-    flood |= shift(flood, D) & o;
-    flood |= shift(flood, D) & o;
-    flood |= shift(flood, D) & o;
-    flood |= shift(flood, D) & o;
-    flood |= shift(flood, D) & o;
-    moves[i] |= shift(flood, D) & ~(own[i] | o);
-  }
-}
-
-/// Batched legal_moves_mask: moves[i] = legal_moves_mask(own[i], opp[i]).
-///
-/// Compiled out-of-line (bitboard_batch.cpp) with target_clones: the build
-/// stays baseline-x86-64 portable, but the loader binds an AVX-512/AVX2
-/// clone of the lane loops at startup when the host has the silicon — the
-/// whole point of the SoA layout is 4-8 u64 lanes per vector register, and
-/// a generic-tuning inline build would leave that on the table. Keeping the
-/// bodies out of the header also pins their codegen: these are the hottest
-/// loops in the warp-batched backend, and inlining them into large TUs was
-/// observed to swing their quality with the including TU's inlining budget.
+/// moves[i] = legal_moves_mask(own[i], opp[i]) for n lanes.
 void legal_moves_mask_batch(const Bitboard* own, const Bitboard* opp,
                             Bitboard* moves, int n) noexcept;
 
-/// Accumulates direction-D flips for n lanes, where placed[i] is a
-/// single-bit board (or 0 for lanes with no placement — those accumulate 0
-/// because an empty flood never brackets).
-template <Direction D>
-constexpr void accumulate_flips_batch(const Bitboard* own, const Bitboard* opp,
-                                      const Bitboard* placed, Bitboard* flips,
-                                      int n) noexcept {
-  for (int i = 0; i < n; ++i) {
-    const Bitboard o = opp[i];
-    Bitboard flood = shift(placed[i], D) & o;
-    flood |= shift(flood, D) & o;
-    flood |= shift(flood, D) & o;
-    flood |= shift(flood, D) & o;
-    flood |= shift(flood, D) & o;
-    flood |= shift(flood, D) & o;
-    // Branch-free bracket test: all-ones iff one more step hits an own disc.
-    const Bitboard bracketed =
-        static_cast<Bitboard>(0) -
-        static_cast<Bitboard>((shift(flood, D) & own[i]) != 0);
-    flips[i] |= flood & bracketed;
-  }
-}
-
-/// Batched flips_for_move: flips[i] = flips for placing placed[i] (a
-/// single-bit board; 0 yields 0 flips) against own[i]/opp[i]. Out-of-line
-/// with target_clones, same rationale as legal_moves_mask_batch.
+/// flips[i] = the discs flipped by placing placed[i] (a single-bit board;
+/// 0 yields 0 flips) against own[i]/opp[i], for n lanes.
 void flips_for_moves_batch(const Bitboard* own, const Bitboard* opp,
                            const Bitboard* placed, Bitboard* flips,
                            int n) noexcept;

@@ -8,8 +8,52 @@
 #include "game/game_traits.hpp"
 #include "reversi/position.hpp"
 #include "reversi/zobrist.hpp"
+#include "util/rng.hpp"
 
 namespace gpu_mcts::reversi {
+
+// ---------------------------------------------------------------------------
+// The playout ply, scalar and batched (DESIGN.md §17.4).
+//
+// Both are compiled out-of-line in bitboard_batch.cpp, which builds one
+// shared body three times (AVX-512, AVX2, baseline x86-64) and binds each
+// entry point to the best variant the host runs once, at load time. Every
+// variant holds the whole ply: both Kogge-Stone floods, a hardware popcnt,
+// the RNG draw, the k-th-move select and the apply. Only the AVX-512
+// variant selects with pdep; the others clear the k lowest bits one by one,
+// because Zen 1/2 run pdep in microcode and have no AVX-512 anyway. The
+// scalar ply lives in the same unit as the batched one: a build that moved
+// only the batched ply ran the shared-tree searcher ~10% slower, a
+// code-layout effect, although no function that searcher calls changed.
+// ---------------------------------------------------------------------------
+
+/// Lane count of the batched ply: one SIMT warp.
+inline constexpr int kPlyLanes = 32;
+
+/// Structure-of-arrays lanes of the batched ply, each position held in its
+/// side-to-move frame (own/opp), which makes apply a pure swap-and-mask:
+/// own' = opp & ~flips, opp' = own | flips | placed. A pass is the same
+/// dataflow with zero flips and placement, so pass lanes ride the batched
+/// apply instead of diverging.
+struct PlyLanes {
+  Bitboard own[kPlyLanes];
+  Bitboard opp[kPlyLanes];
+  std::uint8_t to_move[kPlyLanes];
+};
+
+/// Advances `s` by one uniformly random legal move: the k-th set bit of the
+/// placement mask, k = rng.next_below(n), drawn only when n >= 2. A blocked
+/// mover passes without a draw. Returns false (state unchanged) when
+/// neither side can move.
+[[nodiscard]] bool playout_ply(Position& s, util::XorShift128Plus& rng) noexcept;
+[[nodiscard]] bool playout_ply(Position& s, util::CounterRng& rng) noexcept;
+
+/// playout_ply on every lane in `mask`, each with its own rngs[lane] stream:
+/// the same draws, moves and resulting states as the scalar ply, lane by
+/// lane. Returns the lanes that advanced; a terminal lane drops out with
+/// its state untouched, and lanes outside `mask` are preserved bit for bit.
+[[nodiscard]] std::uint32_t playout_ply_batch(PlyLanes& l, std::uint32_t mask,
+                                              util::CounterRng* rngs) noexcept;
 
 class ReversiGame {
  public:
@@ -59,41 +103,25 @@ class ReversiGame {
 
   /// Fast playout step (optional Game extension, detected by the playout
   /// code): advances `s` by one uniformly random legal move without
-  /// materializing a move list — the k-th set bit of the placement mask is
-  /// selected directly. Returns false (state unchanged) when terminal.
-  template <typename Rng>
-  [[nodiscard]] static bool playout_step(State& s, Rng& rng) noexcept {
-    Bitboard mask = placement_mask(s);
-    if (mask == 0) {
-      if (legal_moves_mask(s.opp(), s.own()) == 0) return false;  // terminal
-      s = apply_move(s, kPassMove);
-      return true;
-    }
-    const int n = popcount(mask);
-    if (n > 1) {
-      // Drop k lowest bits, then take the new lowest.
-      for (auto k = rng.next_below(static_cast<std::uint32_t>(n)); k > 0; --k) {
-        mask &= mask - 1;
-      }
-    }
-    s = apply_move(s, static_cast<Move>(lsb_index(mask)));
-    return true;
+  /// materializing a move list. Returns false (state unchanged) when
+  /// terminal. Reversi's playouts draw from exactly these two engines (CPU
+  /// searchers and the scalar warp interpreter), and both forward to the
+  /// ISA-dispatched playout_ply.
+  [[nodiscard]] static bool playout_step(State& s,
+                                         util::XorShift128Plus& rng) noexcept {
+    return playout_ply(s, rng);
+  }
+  [[nodiscard]] static bool playout_step(State& s,
+                                         util::CounterRng& rng) noexcept {
+    return playout_ply(s, rng);
   }
 
   /// Batched playout traits (game::BatchedGameWith, DESIGN.md §17): a
-  /// 32-lane structure-of-arrays mirror of playout_step. Lanes hold the
-  /// position in the side-to-move frame (own/opp), which makes apply a
-  /// pure swap-and-mask: own' = opp & ~flips, opp' = own | flips | placed.
-  /// A pass is the same dataflow with zero flips and placement, so pass
-  /// lanes ride the batched apply instead of diverging.
+  /// 32-lane structure-of-arrays mirror of playout_step over the kernel's
+  /// CounterRng streams, forwarding to playout_ply_batch.
   struct Batched {
-    static constexpr int kWidth = 32;
-
-    struct Lanes {
-      Bitboard own[kWidth];
-      Bitboard opp[kWidth];
-      std::uint8_t to_move[kWidth];
-    };
+    static constexpr int kWidth = kPlyLanes;
+    using Lanes = PlyLanes;
 
     static void load(Lanes& l, int lane, const Position& s) noexcept {
       l.own[lane] = s.own();
@@ -109,58 +137,9 @@ class ReversiGame {
       return s;
     }
 
-    /// One batched ply. Equivalence with playout_step, lane by lane:
-    ///  * mobility and flips come from the same Kogge-Stone floods (the
-    ///    batch helpers are the scalar ones unrolled over lanes);
-    ///  * a lane with >= 2 placements draws exactly one next_below(n) from
-    ///    its own rng and selects the same drop-k-lowest-bits move; other
-    ///    lanes draw nothing (the scalar contract);
-    ///  * terminal lanes (no move either side) leave the mask with their
-    ///    state untouched; pass lanes apply with flips = placed = 0.
-    template <typename Rng>
     [[nodiscard]] static std::uint32_t step(Lanes& l, std::uint32_t mask,
-                                            Rng* rngs) noexcept {
-      Bitboard moves[kWidth];
-      legal_moves_mask_batch(l.own, l.opp, moves, kWidth);
-
-      Bitboard placed[kWidth] = {};
-      std::uint32_t advanced = mask;
-      for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-        const int lane = std::countr_zero(m);
-        Bitboard pick = moves[lane];
-        if (pick == 0) {
-          // Rare slow path: pass-or-terminal needs the opponent's mobility.
-          if (legal_moves_mask(l.opp[lane], l.own[lane]) == 0) {
-            advanced &= ~(1u << lane);  // terminal; lane retires in place
-          }
-          continue;  // pass: zero placement, apply still swaps sides
-        }
-        const int n = popcount(pick);
-        if (n > 1) {
-          for (auto k = rngs[lane].next_below(static_cast<std::uint32_t>(n));
-               k > 0; --k) {
-            pick &= pick - 1;
-          }
-        }
-        placed[lane] = pick & (~pick + 1);
-      }
-
-      Bitboard flips[kWidth];
-      flips_for_moves_batch(l.own, l.opp, placed, flips, kWidth);
-
-      // Branch-free masked apply: advancing lanes swap perspective with
-      // their flips committed; retired and inactive lanes are preserved
-      // bit for bit by the select mask.
-      for (int i = 0; i < kWidth; ++i) {
-        const Bitboard sel = static_cast<Bitboard>(0) -
-                             static_cast<Bitboard>((advanced >> i) & 1u);
-        const Bitboard next_own = l.opp[i] & ~flips[i];
-        const Bitboard next_opp = l.own[i] | flips[i] | placed[i];
-        l.own[i] = (next_own & sel) | (l.own[i] & ~sel);
-        l.opp[i] = (next_opp & sel) | (l.opp[i] & ~sel);
-        l.to_move[i] ^= static_cast<std::uint8_t>((advanced >> i) & 1u);
-      }
-      return advanced;
+                                            util::CounterRng* rngs) noexcept {
+      return playout_ply_batch(l, mask, rngs);
     }
   };
 };

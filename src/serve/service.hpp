@@ -272,6 +272,10 @@ class SearchService {
            {"priority", static_cast<double>(opts.priority)}});
     }
     s.queue.push_back(id);
+    {
+      const std::lock_guard token_lock(cancel_mu_);
+      cancel_tokens_.emplace(id, t.cancel);
+    }
     tickets_.emplace(id, std::move(t));
     return id;
   }
@@ -310,11 +314,16 @@ class SearchService {
   /// next round boundary with StopReason::kCancelled (after at least one
   /// round — the anytime contract: every ticket returns a legal move).
   /// Safe from any thread, including while another thread drives rounds.
+  /// Takes only the token lock: std::mutex is not fair, and a thread
+  /// looping in wait() re-takes mu_ the moment it drops it, so a cancel()
+  /// that queued on mu_ could starve until the budget ran out.
   void cancel(TicketId ticket) {
     std::shared_ptr<util::CancelToken> token;
     {
-      const std::lock_guard lock(mu_);
-      token = ticket_at(ticket).cancel;
+      const std::lock_guard lock(cancel_mu_);
+      const auto it = cancel_tokens_.find(ticket);
+      util::expects(it != cancel_tokens_.end(), "known ticket id");
+      token = it->second;
     }
     token->cancel();
   }
@@ -378,7 +387,7 @@ class SearchService {
     std::uint64_t search_seed = 0;
     std::uint64_t arrival_cycles = 0;
     std::uint64_t deadline_cycles = 0;
-    /// Shared so cancel() can latch it outside the service lock.
+    /// Shared with cancel_tokens_ so cancel() can latch it without mu_.
     std::shared_ptr<util::CancelToken> cancel;
     std::unique_ptr<Rider> rider;  ///< non-null while in flight
     bool done = false;
@@ -505,6 +514,10 @@ class SearchService {
   TicketId next_ticket_ = 1;
   std::map<SessionId, Session> sessions_;
   std::map<TicketId, Ticket> tickets_;
+  /// Each ticket's token, under its own lock so cancel() never waits on
+  /// mu_. Lock order: mu_, then cancel_mu_.
+  std::mutex cancel_mu_;
+  std::map<TicketId, std::shared_ptr<util::CancelToken>> cancel_tokens_;
   int open_sessions_ = 0;
 };
 

@@ -88,11 +88,16 @@ using G = reversi::ReversiGame;
 }
 
 // --- The acceptance matrix ------------------------------------------------
-// Every launch hangs forever; the virtual budget alone would never end the
-// search (100 virtual seconds). With a wall deadline set, every scheme at
-// every pipeline depth must return a legal move within 2x the deadline (plus
-// scheduling slack for slow CI), report kWallDeadline, and account for every
-// injected hang through the watchdog.
+// Every launch hangs forever. A synchronous hang charges only virtual time,
+// ~2 ms per hung round for ~4 us of wall time on a 4-core AVX-512 Xeon, so
+// a 100-virtual-second budget ran out in ~0.2 s of wall time: a host 1.4x
+// faster than that one stopped on the budget before the 150 ms deadline.
+// 1e5 virtual seconds would take ~200 s of wall time to spend, so the
+// virtual budget alone never ends the search. With a wall deadline set,
+// every scheme at every pipeline depth must return a legal move within 2x
+// the deadline (plus scheduling slack for slow CI), report kWallDeadline
+// with budget left over, and account for every injected hang through the
+// watchdog.
 TEST(Supervision, AllSchemesSurviveTotalHangStormWithinWallBound) {
   constexpr double kWallMs = 150.0;
   const auto state = G::initial_state();
@@ -102,7 +107,7 @@ TEST(Supervision, AllSchemesSurviveTotalHangStormWithinWallBound) {
       auto searcher = make_gpu_searcher(
           scheme, depth, hanging_gpu(1.0, 2.0, 23), 23);
       mcts::SearchBudget budget;
-      budget.virtual_seconds = 100.0;
+      budget.virtual_seconds = 1e5;
       budget.wall_ms = kWallMs;
       util::WallTimer timer;
       const auto move = searcher->choose_move(state, budget);
@@ -111,6 +116,7 @@ TEST(Supervision, AllSchemesSurviveTotalHangStormWithinWallBound) {
       EXPECT_TRUE(is_legal(state, move));
       const auto& stats = searcher->last_stats();
       EXPECT_EQ(stats.stop_reason, mcts::StopReason::kWallDeadline);
+      EXPECT_LT(stats.virtual_seconds, budget.virtual_seconds);
       EXPECT_GT(stats.watchdog_timeouts, 0u);
       if (scheme != "leaf") {
         // Schemes with a CPU fallback must back the move with real search
