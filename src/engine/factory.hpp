@@ -113,7 +113,7 @@ class SearcherRegistry {
     add("root-parallel", [](const SchemeSpec& spec) -> SearcherPtr {
       return std::make_unique<parallel::RootParallelSearcher<G>>(
           typename parallel::RootParallelSearcher<G>::Options{
-              .threads = spec.cpu_threads, .use_host_threads = false},
+              .threads = spec.cpu_threads},
           spec.search, spec.host, spec.cost);
     });
     add("tree-parallel", [](const SchemeSpec& spec) -> SearcherPtr {

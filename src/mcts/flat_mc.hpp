@@ -11,7 +11,7 @@
 
 #include "game/game_traits.hpp"
 #include "mcts/config.hpp"
-#include "mcts/playout.hpp"
+#include "mcts/search_loop.hpp"
 #include "mcts/searcher.hpp"
 #include "simt/cost_model.hpp"
 #include "simt/device_props.hpp"
@@ -36,22 +36,7 @@ class FlatMonteCarloSearcher final : public Searcher<G> {
       const typename G::State& state,
       const SearchBudget& budget) override {
     util::expects(!G::is_terminal(state), "choose_move on terminal state");
-    util::WallTimer wall;
-    const bool wall_limited = budget.wall_ms.has_value();
-    StopReason stop_reason = StopReason::kBudget;
-    // Round-boundary supervision, token before deadline — the same
-    // attribution order as every other scheme (see tree_parallel.hpp).
-    const auto should_stop = [&]() -> bool {
-      if (budget.cancel != nullptr && budget.cancel->cancelled()) {
-        stop_reason = StopReason::kCancelled;
-        return true;
-      }
-      if (wall_limited && wall.elapsed_seconds() * 1000.0 >= *budget.wall_ms) {
-        stop_reason = StopReason::kWallDeadline;
-        return true;
-      }
-      return false;
-    };
+    StopCheck stop(budget);
     util::VirtualClock clock(host_.clock_hz);
     const std::uint64_t deadline = clock.to_cycles(budget.virtual_seconds);
     util::XorShift128Plus rng(util::derive_seed(seed_, move_counter_++));
@@ -68,31 +53,24 @@ class FlatMonteCarloSearcher final : public Searcher<G> {
     const game::Player mover = G::player_to_move(state);
     stats_ = {};
     int cursor = 0;
-    do {
+    run_until(stop, clock, deadline, [&] {
       const int i = cursor;
       cursor = (cursor + 1) % n;  // round-robin: uniform allocation
       const typename G::State child = G::apply(state, moves[i]);
-      double value_first;
-      std::uint32_t plies = 0;
-      if (G::is_terminal(child)) {
-        value_first =
-            game::value_of(G::outcome_for(child, game::Player::kFirst));
-      } else {
-        const PlayoutResult r = random_playout<G>(child, rng);
-        value_first = r.value_first;
-        plies = r.plies;
-      }
-      value_sum[i] += mover == game::Player::kFirst ? value_first
-                                                    : 1.0 - value_first;
+      const PlayoutResult leaf = evaluate_leaf<G>(
+          Selection<G>{.state = child, .terminal = G::is_terminal(child)},
+          rng);
+      value_sum[i] += mover == game::Player::kFirst ? leaf.value_first
+                                                    : 1.0 - leaf.value_first;
       visits[i] += 1;
       clock.advance(static_cast<std::uint64_t>(
-          cost_.host_cycles_per_ply * static_cast<double>(plies) +
+          cost_.host_cycles_per_ply * static_cast<double>(leaf.plies) +
           cost_.host_tree_op_cycles / 4.0));  // no tree: cheaper bookkeeping
       stats_.simulations += 1;
       stats_.rounds += 1;
       stats_.cpu_iterations += 1;
-    } while (!should_stop() && clock.cycles() < deadline);
-    stats_.stop_reason = stop_reason;
+    });
+    stats_.stop_reason = stop.reason();
 
     int best = 0;
     for (int i = 1; i < n; ++i) {

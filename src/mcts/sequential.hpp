@@ -2,10 +2,10 @@
 // GPU player faces in the paper's Figures 5-8 ("a GPU Player is playing
 // against one CPU core running sequential MCTS").
 //
-// Each iteration (select -> expand -> one playout -> backpropagate) charges
-// the virtual clock with the host cost model's tree-op cost plus the
-// playout's measured ply count, grounding the calibrated ~10^4
-// iterations/second rate in actual playout lengths.
+// Each iteration is mcts::iterate (select -> expand -> one playout ->
+// backpropagate), which charges the virtual clock with the host cost
+// model's tree-op cost plus the playout's measured ply count, grounding the
+// calibrated ~10^4 iterations/second rate in actual playout lengths.
 #pragma once
 
 #include <algorithm>
@@ -14,7 +14,7 @@
 
 #include "game/game_traits.hpp"
 #include "mcts/config.hpp"
-#include "mcts/playout.hpp"
+#include "mcts/search_loop.hpp"
 #include "mcts/searcher.hpp"
 #include "mcts/stats.hpp"
 #include "mcts/tree.hpp"
@@ -40,23 +40,7 @@ class SequentialSearcher final : public Searcher<G> {
   [[nodiscard]] typename G::Move choose_move(
       const typename G::State& state, const SearchBudget& budget) override {
     util::expects(!G::is_terminal(state), "choose_move on terminal state");
-    util::WallTimer wall;
-    const bool wall_limited = budget.wall_ms.has_value();
-    StopReason stop_reason = StopReason::kBudget;
-    // Iteration-boundary stop check (token before deadline); the do-while
-    // still guarantees one iteration, so best_move() stays well-defined
-    // even when the budget arrives already cancelled or expired.
-    const auto should_stop = [&]() -> bool {
-      if (budget.cancel != nullptr && budget.cancel->cancelled()) {
-        stop_reason = StopReason::kCancelled;
-        return true;
-      }
-      if (wall_limited && wall.elapsed_seconds() * 1000.0 >= *budget.wall_ms) {
-        stop_reason = StopReason::kWallDeadline;
-        return true;
-      }
-      return false;
-    };
+    StopCheck stop(budget);
     util::VirtualClock clock(host_.clock_hz);
     const std::uint64_t deadline = clock.to_cycles(budget.virtual_seconds);
 
@@ -70,33 +54,12 @@ class SequentialSearcher final : public Searcher<G> {
       tracer_->set_frequency(clock.frequency_hz());
       tracer_->begin(obs::Tracer::kHostTrack, "search", clock.cycles());
     }
-    // do-while: even a zero budget performs one iteration so the root is
-    // expanded and best_move() is well-defined.
-    do {
-      const Selection<G> sel = tree.select();
-      double value_sum;
-      std::uint32_t plies = 0;
-      if (sel.terminal) {
-        value_sum = game::value_of(
-            G::outcome_for(sel.state, game::Player::kFirst));
-      } else {
-        const PlayoutResult playout = random_playout<G>(sel.state, rng);
-        value_sum = playout.value_first;
-        plies = playout.plies;
-      }
-      tree.backpropagate(sel.node, value_sum, 1, value_sum * value_sum);
-      clock.advance(static_cast<std::uint64_t>(
-          cost_.host_tree_op_cycles +
-          cost_.host_cycles_per_ply * static_cast<double>(plies)));
-      stats_.simulations += 1;
+    run_until(stop, clock, deadline, [&] {
+      iterate<G>(tree, rng, clock, cost_, stats_, tracer_);
       stats_.rounds += 1;
-      stats_.cpu_iterations += 1;
-      if (tracer_ != nullptr) {
-        tracer_->metrics().histogram("playout_plies").observe(plies);
-      }
-    } while (!should_stop() && clock.cycles() < deadline);
+    });
 
-    stats_.stop_reason = stop_reason;
+    stats_.stop_reason = stop.reason();
     stats_.tree_nodes = tree.node_count();
     stats_.max_depth = tree.max_depth();
     stats_.virtual_seconds = clock.seconds();

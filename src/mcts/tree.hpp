@@ -43,8 +43,8 @@ struct Node {
   /// Player who played `move` to reach this node.
   game::Player mover = game::Player::kSecond;
   /// True once children were allocated (or the node is terminal). A node
-  /// that hit the arena's max_nodes cap stays *un*expanded so selection
-  /// re-attempts it once advance_root frees space.
+  /// that hit the arena's max_nodes cap stays *un*expanded: a playout leaf
+  /// whose expansion is re-attempted on each visit.
   bool expanded = false;
   std::uint32_t visits = 0;
   /// Win credit for `mover` (draws count 0.5).
@@ -182,85 +182,6 @@ class Tree {
     }
   }
 
-  /// Re-roots the tree at the child reached by `move`, preserving that
-  /// subtree's statistics (the classic between-moves tree reuse). Returns
-  /// the number of nodes retained; when the move's child was never expanded
-  /// the tree simply resets on `new_root_state` and 1 is returned.
-  std::size_t advance_root(Move move, const State& new_root_state) {
-    const Node<G>& root = nodes_[0];
-    NodeIndex child = kNoNode;
-    for (NodeIndex c = root.first_child;
-         c < root.first_child + root.num_children; ++c) {
-      if (nodes_[c].move == move) {
-        child = c;
-        break;
-      }
-    }
-    if (child == kNoNode || nodes_[child].visits == 0) {
-      reset(new_root_state);
-      return 1;
-    }
-
-    // Copy the subtree rooted at `child` into a fresh arena (BFS keeps
-    // children contiguous, which the node layout requires).
-    std::vector<Node<G>> fresh;
-    fresh.reserve(nodes_.size() / 2);
-    const bool keep_hashes = config_.transposition != nullptr;
-    std::vector<std::uint64_t> fresh_hashes;
-    if (keep_hashes) {
-      fresh_hashes.reserve(nodes_.size() / 2);
-      // Recomputed rather than copied: advance_root's contract is only that
-      // new_root_state is the position at `child`, and the hash is cheap.
-      fresh_hashes.push_back(G::hash(new_root_state));
-    }
-    std::vector<std::pair<NodeIndex, NodeIndex>> queue;  // (old, new parent)
-    Node<G> new_root = nodes_[child];
-    new_root.parent = kNoNode;
-    const game::Player new_mover =
-        game::opponent_of(G::player_to_move(new_root_state));
-    if (new_mover != new_root.mover) {
-      // The recomputed perspective flipped relative to the stored node's —
-      // in Reversi this happens when a pass sits between the stored child
-      // and `new_root_state` (the same side is to move again). The stored
-      // wins/win_squares are sums of per-playout values x from the old
-      // mover's perspective; re-express them for the new mover (values
-      // become 1 - x): sum(1-x) = n - sum(x) and
-      // sum((1-x)^2) = n - 2*sum(x) + sum(x^2).
-      const double n_d = static_cast<double>(new_root.visits);
-      const double old_wins = new_root.wins;
-      new_root.wins = n_d - old_wins;
-      new_root.win_squares = n_d - 2.0 * old_wins + new_root.win_squares;
-    }
-    new_root.mover = new_mover;
-    fresh.push_back(new_root);
-    queue.emplace_back(child, 0);
-
-    for (std::size_t q = 0; q < queue.size(); ++q) {
-      const auto [old_index, new_index] = queue[q];
-      const Node<G>& old_node = nodes_[old_index];
-      if (old_node.num_children == 0) continue;
-      const auto first = static_cast<NodeIndex>(fresh.size());
-      for (NodeIndex c = old_node.first_child;
-           c < old_node.first_child + old_node.num_children; ++c) {
-        Node<G> copy = nodes_[c];
-        copy.parent = new_index;
-        fresh.push_back(copy);
-        if (keep_hashes) fresh_hashes.push_back(hashes_[c]);
-      }
-      fresh[new_index].first_child = first;
-      for (std::uint16_t k = 0; k < old_node.num_children; ++k) {
-        queue.emplace_back(old_node.first_child + k,
-                           static_cast<NodeIndex>(first + k));
-      }
-    }
-
-    nodes_ = std::move(fresh);
-    hashes_ = std::move(fresh_hashes);
-    root_state_ = new_root_state;
-    max_depth_ = 0;
-    return nodes_.size();
-  }
-
   /// Temporarily charges `amount` visits (with no wins) along the path to
   /// the root — the *virtual loss* of tree parallelism: in-flight selections
   /// look like losses so concurrent workers spread across the tree.
@@ -368,13 +289,9 @@ class Tree {
       return;
     }
     if (nodes_.size() + static_cast<std::size_t>(n) > config_.max_nodes) {
-      // Pool cap: a *capped* node is not expanded — it stays a playout leaf
-      // for now but must be re-attempted later, because advance_root can
-      // free most of the arena and the node would otherwise be frozen
-      // childless forever. Leaving `expanded` false costs nothing while the
-      // cap persists (the RNG is only consumed on success below, so the
-      // re-attempts don't perturb any stream) and resumes growth the moment
-      // capacity returns.
+      // Pool cap: a *capped* node is not expanded — it stays a playout
+      // leaf. The re-attempt on its next visit draws no RNG (the shuffle
+      // below only runs on success), so it perturbs no stream.
       return;
     }
     nodes_[index].expanded = true;

@@ -32,7 +32,7 @@
 
 #include "game/game_traits.hpp"
 #include "mcts/config.hpp"
-#include "mcts/playout.hpp"
+#include "mcts/search_loop.hpp"
 #include "mcts/searcher.hpp"
 #include "mcts/tree.hpp"
 #include "obs/trace.hpp"
@@ -426,27 +426,7 @@ class CpuFallback {
   void iterate_on(CohortTreesSource<G>& source, std::size_t t,
                   util::VirtualClock& clock, const simt::CostModel& cost,
                   mcts::SearchStats& stats, obs::Tracer* tracer) {
-    mcts::Tree<G>& tree = source.tree(t);
-    const mcts::Selection<G> sel = tree.select();
-    double value;
-    std::uint32_t plies = 0;
-    if (sel.terminal) {
-      value = game::value_of(G::outcome_for(sel.state, game::Player::kFirst));
-    } else {
-      const mcts::PlayoutResult playout =
-          mcts::random_playout<G>(sel.state, *rng_);
-      value = playout.value_first;
-      plies = playout.plies;
-    }
-    tree.backpropagate(sel.node, value, 1, value * value);
-    clock.advance(static_cast<std::uint64_t>(
-        cost.host_tree_op_cycles +
-        cost.host_cycles_per_ply * static_cast<double>(plies)));
-    stats.simulations += 1;
-    stats.cpu_iterations += 1;
-    if (tracer != nullptr) {
-      tracer->metrics().histogram("playout_plies").observe(plies);
-    }
+    mcts::iterate<G>(source.tree(t), *rng_, clock, cost, stats, tracer);
   }
 
   /// One iteration on the rotating cursor (batch fallback + hybrid overlap).

@@ -32,6 +32,7 @@
 #include "game/game_traits.hpp"
 #include "mcts/budget.hpp"
 #include "mcts/config.hpp"
+#include "mcts/search_loop.hpp"
 #include "mcts/searcher.hpp"
 #include "obs/trace.hpp"
 #include "parallel/driver/policies.hpp"
@@ -129,7 +130,7 @@ class RoundDriver {
                                      std::uint64_t search_seed,
                                      const std::string& label) {
     util::expects(!G::is_terminal(state), "choose_move on terminal state");
-    util::WallTimer wall;
+    mcts::StopCheck stop(budget);
     util::VirtualClock clock(gpu_.host().clock_hz);
     const std::uint64_t deadline = clock.to_cycles(budget.virtual_seconds);
     const std::size_t trees_n =
@@ -141,41 +142,20 @@ class RoundDriver {
     stats_ = {};
 
     // ---- Supervision (DESIGN.md §12) -------------------------------------
-    const bool wall_limited = budget.wall_ms.has_value();
-    const bool supervised = wall_limited || budget.cancel != nullptr ||
+    const bool supervised = budget.wall_ms.has_value() ||
+                            budget.cancel != nullptr ||
                             budget.stop_on_tree_saturation;
-    mcts::StopReason stop_reason = mcts::StopReason::kBudget;
-    bool stop = false;
-    // Boundary stop check: token first (an explicit cancel beats a deadline
-    // that expired in the same instant), then the wall deadline. Latches —
-    // once a search decides to stop it never un-decides.
-    const auto should_stop = [&]() -> bool {
-      if (stop) return true;
-      if (budget.cancel != nullptr && budget.cancel->cancelled()) {
-        stop = true;
-        stop_reason = mcts::StopReason::kCancelled;
-      } else if (wall_limited &&
-                 wall.elapsed_seconds() * 1000.0 >= *budget.wall_ms) {
-        stop = true;
-        stop_reason = mcts::StopReason::kWallDeadline;
-      }
-      return stop;
-    };
     // Hang-watchdog bound for stream waits: the fault policy's interval,
     // clamped to the remaining wall time so a hang surfacing right at the
     // deadline costs ~nothing extra. Ordinary launches are never timed out
     // (VirtualGpu::wait_for only fires for injected hangs), so the bound is
     // free on the happy path.
-    const auto watchdog_ms = [&]() -> double {
-      const double policy_ms = gpu_.fault_injector().policy().hang_timeout_ms;
-      if (!wall_limited) return policy_ms;
-      const double remaining_ms =
-          *budget.wall_ms - wall.elapsed_seconds() * 1000.0;
-      return std::min(policy_ms, std::max(remaining_ms, 0.0));
-    };
     [[maybe_unused]] const auto supervised_wait =
         [&](const simt::StreamTicket& ticket, util::VirtualClock& clk) {
-          simt::StreamLaunch done = gpu_.wait_for(ticket, clk, watchdog_ms());
+          const double watchdog_ms =
+              std::min(gpu_.fault_injector().policy().hang_timeout_ms,
+                       stop.remaining_wall_ms());
+          simt::StreamLaunch done = gpu_.wait_for(ticket, clk, watchdog_ms);
           if (done.result.status == simt::LaunchStatus::kHungTimeout) {
             stats_.watchdog_timeouts += 1;
           }
@@ -296,7 +276,7 @@ class RoundDriver {
       if constexpr (FallbackT::kEnabled && !SourceT::kSharedRoot) {
         obs::ScopedSpan span(tracer_, host_track, "cpu_fallback", clock);
         for (std::size_t i = 0; i < trees_n && clock.cycles() < deadline &&
-                                !should_stop();
+                                !stop.should_stop();
              ++i) {
           fallback_.iterate_rotating(source_, clock, gpu_.cost(), stats_,
                                      tracer_);
@@ -585,7 +565,7 @@ class RoundDriver {
           obs::ScopedSpan span(tracer_, host_track, "cpu_fallback", pipe,
                                {{"cohort", static_cast<double>(c.stream)}});
           for (std::size_t i = 0; i < c.count && clock.cycles() < deadline &&
-                                  !should_stop();
+                                  !stop.should_stop();
                ++i) {
             fallback_.iterate_on(source_, c.begin + i, clock, gpu_.cost(),
                                  stats_, tracer_);
@@ -596,7 +576,7 @@ class RoundDriver {
           if (c.abandoned) continue;
           // Cohort boundary: once the search decides to stop, later cohorts
           // are not enqueued (the ones already in flight are drained below).
-          if (should_stop()) break;
+          if (stop.should_stop()) break;
           source_.select(tracer_, pipe, pool, gpu_.cost(), roots->host(),
                          c.begin, c.count, c.stream);
           try {
@@ -613,7 +593,7 @@ class RoundDriver {
           // Cohort boundary: every enqueued ticket is still waited (the
           // stream FIFO must drain, and its results only sharpen the final
           // move), but a stopping search skips the optional overlap work.
-          const bool draining = should_stop();
+          const bool draining = stop.should_stop();
           if (!draining && config_.mode == SimulateMode::kAsyncOverlap) {
             // Hybrid overlap against this cohort's kernel: CPU iterations
             // until its peeked completion cycle. Earlier cohorts were
@@ -687,7 +667,7 @@ class RoundDriver {
         // A stopping round skips the failure bookkeeping and degradation
         // batch: abandonment is a policy about *future* rounds, and there
         // are none.
-        if (stop) return;
+        if (stop.stopped()) return;
         bool all_abandoned = true;
         for (Cohort& c : cohorts) {
           const auto s = static_cast<std::size_t>(c.stream);
@@ -822,7 +802,7 @@ class RoundDriver {
       }
     };
     std::uint64_t nodes_before_round = 0;
-    do {
+    mcts::run_until(stop, clock, deadline, [&] {
       if (budget.stop_on_tree_saturation) {
         nodes_before_round = total_tree_nodes();
       }
@@ -844,12 +824,11 @@ class RoundDriver {
       // Saturation: a full round that grew no tree — every arena is at its
       // node cap (or the position is exhausted); further rounds only
       // re-sample.
-      if (budget.stop_on_tree_saturation && !stop &&
+      if (budget.stop_on_tree_saturation && !stop.stopped() &&
           total_tree_nodes() == nodes_before_round) {
-        stop = true;
-        stop_reason = mcts::StopReason::kTreeSaturated;
+        stop.latch(mcts::StopReason::kTreeSaturated);
       }
-    } while (!should_stop() && clock.cycles() < deadline);
+    });
 
     // Anytime guard (supervised only): an early stop — or a hang that
     // swallowed the whole virtual budget — can leave every tree without a
@@ -863,7 +842,7 @@ class RoundDriver {
       }
     }
     SearchOutcome<G> outcome = source_.conclude(stats_);
-    stats_.stop_reason = stop_reason;
+    stats_.stop_reason = stop.reason();
     stats_.virtual_seconds = clock.seconds();
     // Averaged over rounds that actually produced kernel results: failed,
     // CPU-fallback, and terminal-shortcut rounds ran no kernel (or lost its

@@ -36,6 +36,7 @@
 #include "game/game_traits.hpp"
 #include "mcts/budget.hpp"
 #include "mcts/config.hpp"
+#include "mcts/search_loop.hpp"
 #include "mcts/stats.hpp"
 #include "obs/trace.hpp"
 #include "parallel/driver/policies.hpp"
@@ -78,7 +79,7 @@ class SessionRider {
         tpb_(threads_per_block),
         search_seed_(search_seed),
         budget_(budget),
-        service_cancel_(service_cancel),
+        stop_(budget, service_cancel),
         tracer_(tracer),
         gpu_track_(gpu_track) {
     util::expects(!G::is_terminal(state), "choose_move on terminal state");
@@ -200,12 +201,12 @@ class SessionRider {
     kernel_.reset();
     ++round_;
     stats_.rounds += 1;
-    if (budget_.stop_on_tree_saturation && !stop_ &&
+    if (budget_.stop_on_tree_saturation && !stop_.stopped() &&
         total_tree_nodes() == nodes_before_round_) {
-      stop_ = true;
-      stop_reason_ = mcts::StopReason::kTreeSaturated;
+      stop_.latch(mcts::StopReason::kTreeSaturated);
     }
-    finished_ = should_stop() || clock_.cycles() >= deadline_;
+    // RoundDriver's loop condition (mcts::run_until), one round at a time.
+    finished_ = stop_.should_stop() || clock_.cycles() >= deadline_;
     return kernel_charge;
   }
 
@@ -218,7 +219,7 @@ class SessionRider {
   /// produces).
   [[nodiscard]] SearchOutcome<G> conclude() {
     SearchOutcome<G> outcome = source_.conclude(stats_);
-    stats_.stop_reason = stop_reason_;
+    stats_.stop_reason = stop_.reason();
     stats_.virtual_seconds = clock_.seconds();
     if (stats_.gpu_rounds > 0) {
       stats_.divergence_waste =
@@ -246,25 +247,6 @@ class SessionRider {
  private:
   static constexpr int kHostTrack = obs::Tracer::kHostTrack;
 
-  /// RoundDriver's boundary stop check, extended with the service token:
-  /// latching; an explicit cancel (either channel) beats a wall deadline
-  /// expiring in the same instant.
-  [[nodiscard]] bool should_stop() {
-    if (stop_) return true;
-    if (budget_.cancel != nullptr && budget_.cancel->cancelled()) {
-      stop_ = true;
-      stop_reason_ = mcts::StopReason::kCancelled;
-    } else if (service_cancel_ != nullptr && service_cancel_->cancelled()) {
-      stop_ = true;
-      stop_reason_ = mcts::StopReason::kCancelled;
-    } else if (budget_.wall_ms.has_value() &&
-               wall_.elapsed_seconds() * 1000.0 >= *budget_.wall_ms) {
-      stop_ = true;
-      stop_reason_ = mcts::StopReason::kWallDeadline;
-    }
-    return stop_;
-  }
-
   [[nodiscard]] std::uint64_t total_tree_nodes() {
     std::uint64_t n = 0;
     for (std::size_t t = 0; t < blocks_; ++t) {
@@ -277,13 +259,14 @@ class SessionRider {
   PerTreeSink<G> sink_;
   simt::DeviceBuffer<typename G::State> roots_;
   simt::DeviceBuffer<simt::BlockResult> results_;
-  util::WallTimer wall_;
   util::VirtualClock clock_;
   std::size_t blocks_;
   int tpb_;
   std::uint64_t search_seed_;
   mcts::SearchBudget budget_;
-  util::CancelToken* service_cancel_;
+  /// The budget's bounds plus the service token, which stops the search
+  /// with StopReason::kCancelled just like the budget's own.
+  mcts::StopCheck stop_;
   obs::Tracer* tracer_;
   int gpu_track_;
   std::uint64_t deadline_ = 0;
@@ -294,9 +277,7 @@ class SessionRider {
   std::uint64_t round_ = 0;
   std::uint64_t nodes_before_round_ = 0;
   double waste_sum_ = 0.0;
-  bool stop_ = false;
   bool finished_ = false;
-  mcts::StopReason stop_reason_ = mcts::StopReason::kBudget;
 };
 
 /// The cross-session round engine: packs the given riders into one combined

@@ -5,8 +5,8 @@
 //
 // Execution model: each virtual CPU thread runs the complete budget on its
 // own virtual clock (they are concurrent in model time), so `n` threads do
-// n x (rate x budget) simulations total regardless of host core count. A
-// real thread-pool mode is available for wall-clock use cases.
+// n x (rate x budget) simulations total regardless of host core count. The
+// trees are searched one after another on the calling thread.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,7 @@
 
 #include "game/game_traits.hpp"
 #include "mcts/config.hpp"
-#include "mcts/playout.hpp"
+#include "mcts/search_loop.hpp"
 #include "mcts/searcher.hpp"
 #include "mcts/tree.hpp"
 #include "obs/trace.hpp"
@@ -26,7 +26,6 @@
 #include "util/check.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gpu_mcts::parallel {
 
@@ -35,9 +34,6 @@ class RootParallelSearcher final : public mcts::Searcher<G> {
  public:
   struct Options {
     int threads = 2;
-    /// When true, trees are searched by a host thread pool (wall-clock
-    /// parallelism); model time is identical either way.
-    bool use_host_threads = false;
   };
 
   RootParallelSearcher(Options options, mcts::SearchConfig config = {},
@@ -60,66 +56,27 @@ class RootParallelSearcher final : public mcts::Searcher<G> {
     const auto n = static_cast<std::size_t>(options_.threads);
     std::vector<std::vector<typename mcts::Tree<G>::RootChildStat>> stats(n);
     std::vector<mcts::SearchStats> per_tree(n);
-    // One wall timer and token shared by every tree (they are concurrent in
-    // model time, and in host time under use_host_threads — both reads are
-    // thread-safe). Each tree latches the reason it stopped into its own
-    // stats slot; the fold below merges them (cancel beats deadline).
-    util::WallTimer wall;
-    const bool wall_limited = budget.wall_ms.has_value();
+    // One stop check for every tree: they are concurrent in model time, so
+    // the wall deadline runs from the start of the move. Once one tree
+    // latches a bound, the rest each run their one guaranteed iteration.
+    mcts::StopCheck stop(budget);
 
-    auto run_tree = [&](std::size_t t) {
+    for (std::size_t t = 0; t < n; ++t) {
       const std::uint64_t tree_seed =
           util::derive_seed(seed_, (move_counter_ << 16) ^ t);
       mcts::Tree<G> tree(state, config_, tree_seed);
       util::XorShift128Plus rng(util::derive_seed(tree_seed, 0x9a10ULL));
       util::VirtualClock clock(host_.clock_hz);
       const std::uint64_t deadline = clock.to_cycles(budget.virtual_seconds);
-      mcts::SearchStats s;
-      const auto should_stop = [&]() -> bool {
-        if (budget.cancel != nullptr && budget.cancel->cancelled()) {
-          s.stop_reason = mcts::StopReason::kCancelled;
-          return true;
-        }
-        if (wall_limited &&
-            wall.elapsed_seconds() * 1000.0 >= *budget.wall_ms) {
-          s.stop_reason = mcts::StopReason::kWallDeadline;
-          return true;
-        }
-        return false;
-      };
-      do {
-        const mcts::Selection<G> sel = tree.select();
-        double value;
-        std::uint32_t plies = 0;
-        if (sel.terminal) {
-          value = game::value_of(
-              G::outcome_for(sel.state, game::Player::kFirst));
-        } else {
-          const mcts::PlayoutResult playout =
-              mcts::random_playout<G>(sel.state, rng);
-          value = playout.value_first;
-          plies = playout.plies;
-        }
-        tree.backpropagate(sel.node, value, 1, value * value);
-        clock.advance(static_cast<std::uint64_t>(
-            cost_.host_tree_op_cycles +
-            cost_.host_cycles_per_ply * static_cast<double>(plies)));
-        s.simulations += 1;
+      mcts::SearchStats& s = per_tree[t];
+      mcts::run_until(stop, clock, deadline, [&] {
+        mcts::iterate<G>(tree, rng, clock, cost_, s, nullptr);
         s.rounds += 1;
-        s.cpu_iterations += 1;
-      } while (!should_stop() && clock.cycles() < deadline);
+      });
       s.tree_nodes = tree.node_count();
       s.max_depth = tree.max_depth();
       s.virtual_seconds = clock.seconds();
       stats[t] = tree.root_child_stats();
-      per_tree[t] = s;
-    };
-
-    if (options_.use_host_threads && n > 1) {
-      util::ThreadPool pool(n);
-      pool.parallel_for(n, run_tree);
-    } else {
-      for (std::size_t t = 0; t < n; ++t) run_tree(t);
     }
     ++move_counter_;
 
@@ -130,25 +87,15 @@ class RootParallelSearcher final : public mcts::Searcher<G> {
       stats_.cpu_iterations += s.cpu_iterations;
       stats_.tree_nodes += s.tree_nodes;
       if (s.max_depth > stats_.max_depth) stats_.max_depth = s.max_depth;
-      // Merge the per-tree stop reasons: an explicit cancel beats a wall
-      // deadline beats the plain budget (trees can race the boundary and
-      // disagree; report the strongest interruption any of them saw).
-      if (s.stop_reason == mcts::StopReason::kCancelled ||
-          (s.stop_reason == mcts::StopReason::kWallDeadline &&
-           stats_.stop_reason == mcts::StopReason::kBudget)) {
-        stats_.stop_reason = s.stop_reason;
-      }
-    }
-    // Threads are concurrent in model time: elapsed = max over trees.
-    for (const auto& s : per_tree) {
+      // Threads are concurrent in model time: elapsed = max over trees.
       if (s.virtual_seconds > stats_.virtual_seconds)
         stats_.virtual_seconds = s.virtual_seconds;
     }
+    stats_.stop_reason = stop.reason();
 
     if (tracer_ != nullptr) {
-      // Trees are concurrent in model time and may have run on host threads,
-      // so their spans are emitted here, post-hoc, from the per-tree stats
-      // (the Tracer itself is not written to from worker threads).
+      // Trees are concurrent in model time but searched one after another,
+      // so their spans are emitted here, post-hoc, from the per-tree stats.
       (void)tracer_->begin_search(name());
       tracer_->set_frequency(host_.clock_hz);
       for (std::size_t t = 0; t < n; ++t) {

@@ -9,11 +9,11 @@
 // determinism (at workers > 1) for actual wall-clock scaling, which
 // bench/ablation_shared_tree.cpp measures.
 //
-// Supervision contract: the cancel token → wall deadline → virtual budget
-// check runs at every worker's round boundary, first stop reason wins (a
-// lock-free CAS latch), and every worker completes at least one simulation
-// before checking — preserving the anytime guarantee even under a
-// pre-cancelled token.
+// Supervision contract: every worker polls the shared mcts::StopCheck
+// (cancel token → wall deadline), then the virtual budget, at its round
+// boundary; the first stop reason wins (a lock-free CAS latch), and every
+// worker completes at least one simulation before checking — preserving
+// the anytime guarantee even under a pre-cancelled token.
 //
 // Virtual-time accounting: each worker charges its own tree-op + playout
 // cycles to a shared counter; the search stops once the *sum* reaches
@@ -25,12 +25,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "game/game_traits.hpp"
 #include "mcts/concurrent_tree.hpp"
 #include "mcts/config.hpp"
-#include "mcts/playout.hpp"
+#include "mcts/search_loop.hpp"
 #include "mcts/searcher.hpp"
 #include "simt/cost_model.hpp"
 #include "simt/device_props.hpp"
@@ -75,8 +76,7 @@ class SharedTreeSearcher final : public mcts::Searcher<G> {
       const typename G::State& state,
       const mcts::SearchBudget& budget) override {
     util::expects(!G::is_terminal(state), "choose_move on terminal state");
-    util::WallTimer wall;
-    const bool wall_limited = budget.wall_ms.has_value();
+    const mcts::StopCheck stop_check(budget);
     const util::VirtualClock clock(host_.clock_hz);
     // Sum-over-workers cycle budget; compared in double so a huge virtual
     // budget times the worker count cannot wrap uint64.
@@ -108,35 +108,21 @@ class SharedTreeSearcher final : public mcts::Searcher<G> {
           util::XorShift128Plus rng(
               util::derive_seed(search_seed, 0x5a11ULL + w));
           do {
-            mcts::Selection<G> sel = tree.select(rng);
-            double value;
-            std::uint32_t plies = 0;
-            if (sel.terminal) {
-              value = game::value_of(
-                  G::outcome_for(sel.state, game::Player::kFirst));
-            } else {
-              const mcts::PlayoutResult r =
-                  mcts::random_playout<G>(sel.state, rng);
-              value = r.value_first;
-              plies = r.plies;
-            }
-            tree.backpropagate(sel.node, value);
+            const mcts::Selection<G> sel = tree.select(rng);
+            const mcts::PlayoutResult leaf = mcts::evaluate_leaf<G>(sel, rng);
+            tree.backpropagate(sel.node, leaf.value_first);
             simulations.fetch_add(1, std::memory_order_relaxed);
             const auto charge = static_cast<std::uint64_t>(
                 cost_.host_tree_op_cycles +
-                cost_.host_cycles_per_ply * static_cast<double>(plies));
+                cost_.host_cycles_per_ply * static_cast<double>(leaf.plies));
             const std::uint64_t spent =
                 spent_cycles.fetch_add(charge, std::memory_order_relaxed) +
                 charge;
-            // Round-boundary supervision, token before deadline before
-            // budget — the same attribution order as every other scheme.
-            if (budget.cancel != nullptr && budget.cancel->cancelled()) {
-              signal_stop(mcts::StopReason::kCancelled);
-              break;
-            }
-            if (wall_limited &&
-                wall.elapsed_seconds() * 1000.0 >= *budget.wall_ms) {
-              signal_stop(mcts::StopReason::kWallDeadline);
+            // Round-boundary supervision: the shared stop check's bounds,
+            // then this worker's view of the summed virtual budget.
+            if (const std::optional<mcts::StopReason> reason =
+                    stop_check.poll()) {
+              signal_stop(*reason);
               break;
             }
             if (static_cast<double>(spent) >= total_budget_cycles) {

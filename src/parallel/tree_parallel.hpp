@@ -19,7 +19,7 @@
 
 #include "game/game_traits.hpp"
 #include "mcts/config.hpp"
-#include "mcts/playout.hpp"
+#include "mcts/search_loop.hpp"
 #include "mcts/searcher.hpp"
 #include "mcts/tree.hpp"
 #include "simt/cost_model.hpp"
@@ -56,22 +56,7 @@ class TreeParallelSearcher final : public mcts::Searcher<G> {
       const typename G::State& state,
       const mcts::SearchBudget& budget) override {
     util::expects(!G::is_terminal(state), "choose_move on terminal state");
-    util::WallTimer wall;
-    const bool wall_limited = budget.wall_ms.has_value();
-    mcts::StopReason stop_reason = mcts::StopReason::kBudget;
-    // Round-boundary stop check, same order as the RoundDriver's (token
-    // before deadline). A default budget never stops early.
-    const auto should_stop = [&]() -> bool {
-      if (budget.cancel != nullptr && budget.cancel->cancelled()) {
-        stop_reason = mcts::StopReason::kCancelled;
-        return true;
-      }
-      if (wall_limited && wall.elapsed_seconds() * 1000.0 >= *budget.wall_ms) {
-        stop_reason = mcts::StopReason::kWallDeadline;
-        return true;
-      }
-      return false;
-    };
+    mcts::StopCheck stop(budget);
     util::VirtualClock clock(host_.clock_hz);
     const std::uint64_t deadline = clock.to_cycles(budget.virtual_seconds);
     const std::uint64_t search_seed =
@@ -83,7 +68,9 @@ class TreeParallelSearcher final : public mcts::Searcher<G> {
     std::vector<mcts::Selection<G>> batch(workers);
 
     stats_ = {};
-    do {
+    // One round per step: the W selections are the batch the workers run
+    // concurrently.
+    mcts::run_until(stop, clock, deadline, [&] {
       // Phase 1: every worker selects with virtual losses in place, so the
       // batch spreads across the tree instead of piling on one leaf.
       for (std::size_t w = 0; w < workers; ++w) {
@@ -95,19 +82,10 @@ class TreeParallelSearcher final : public mcts::Searcher<G> {
       std::uint32_t max_plies = 0;
       for (std::size_t w = 0; w < workers; ++w) {
         tree.remove_virtual_loss(batch[w].node, options_.virtual_loss);
-        double value;
-        std::uint32_t plies = 0;
-        if (batch[w].terminal) {
-          value = game::value_of(
-              G::outcome_for(batch[w].state, game::Player::kFirst));
-        } else {
-          const mcts::PlayoutResult r =
-              mcts::random_playout<G>(batch[w].state, rng);
-          value = r.value_first;
-          plies = r.plies;
-        }
-        tree.backpropagate(batch[w].node, value, 1, value * value);
-        if (plies > max_plies) max_plies = plies;
+        const mcts::PlayoutResult leaf = mcts::evaluate_leaf<G>(batch[w], rng);
+        tree.backpropagate(batch[w].node, leaf.value_first, 1,
+                           leaf.value_first * leaf.value_first);
+        if (leaf.plies > max_plies) max_plies = leaf.plies;
         stats_.simulations += 1;
         stats_.cpu_iterations += 1;
       }
@@ -117,9 +95,9 @@ class TreeParallelSearcher final : public mcts::Searcher<G> {
           static_cast<double>(workers) * cost_.host_tree_op_cycles +
           cost_.host_cycles_per_ply * static_cast<double>(max_plies)));
       stats_.rounds += 1;
-    } while (!should_stop() && clock.cycles() < deadline);
+    });
 
-    stats_.stop_reason = stop_reason;
+    stats_.stop_reason = stop.reason();
     stats_.tree_nodes = tree.node_count();
     stats_.max_depth = tree.max_depth();
     stats_.virtual_seconds = clock.seconds();

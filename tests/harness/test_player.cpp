@@ -2,14 +2,15 @@
 // harness player factory used to provide: every scheme builds and plays a
 // legal opening move, thread-count helpers split grids the way the paper's
 // configurations expect, and bad geometry is rejected.
-#include "harness/player.hpp"
-
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 
 #include "engine/factory.hpp"
+#include "mcts/searcher.hpp"
 #include "reversi/reversi_game.hpp"
+#include "util/check.hpp"
 
 namespace gpu_mcts::harness {
 namespace {
@@ -36,7 +37,7 @@ TEST(PlayerFactory, BuildsEveryScheme) {
       engine::SchemeSpec::distributed(2, 8, 32).with_seed(6),
   };
   for (const auto& spec : specs) {
-    std::unique_ptr<ReversiSearcher> player =
+    std::unique_ptr<mcts::Searcher<ReversiGame>> player =
         engine::make_searcher<ReversiGame>(spec);
     ASSERT_NE(player, nullptr) << spec.scheme;
     const auto move =

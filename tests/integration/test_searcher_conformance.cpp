@@ -7,6 +7,7 @@
 
 #include <array>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "engine/factory.hpp"
@@ -23,6 +24,10 @@ struct SchemeCase {
   std::string label;
   engine::SchemeSpec spec;
 };
+
+// Without it gtest prints the parameter as raw bytes, and the std::string's
+// heap pointer among them makes every test name differ from run to run.
+void PrintTo(const SchemeCase& c, std::ostream* os) { *os << c.label; }
 
 std::vector<SchemeCase> all_schemes() {
   return {

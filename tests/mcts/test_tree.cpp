@@ -132,41 +132,6 @@ TEST(Tree, NodeCapStopsGrowthButSearchContinues) {
   EXPECT_EQ(tree.root_visits(), 50u);
 }
 
-TEST(Tree, CappedNodeResumesGrowingAfterAdvanceRoot) {
-  // Regression: a node whose expansion hit max_nodes used to be marked
-  // `expanded` with zero children — permanently a leaf, even after
-  // advance_root() discarded most of the arena. A capped node must stay
-  // unexpanded so selection re-attempts it once capacity returns.
-  SearchConfig config;
-  config.max_nodes = 12;  // root + 9 children fit; no grandchild ever does
-  Tree<TicTacToe> tree(TicTacToe::initial_state(), config, 3);
-  for (int i = 0; i < 50; ++i) {
-    const auto sel = tree.select();
-    tree.backpropagate(sel.node, 0.5, 1);
-  }
-  ASSERT_LE(tree.node_count(), 12u);
-
-  // Re-root on a visited child: only that (childless, previously capped)
-  // node survives, freeing the whole arena.
-  const TicTacToe::Move move = tree.best_move();
-  const auto retained =
-      tree.advance_root(move, TicTacToe::apply(TicTacToe::initial_state(), move));
-  ASSERT_EQ(retained, 1u);
-
-  // With capacity back, selection must expand the new root again instead of
-  // treating it as a frozen leaf.
-  const auto carried = tree.root_visits();  // visits preserved by re-rooting
-  const auto sel = tree.select();
-  tree.backpropagate(sel.node, 0.5, 1);
-  EXPECT_EQ(sel.depth, 1u);
-  EXPECT_EQ(tree.node_count(), 9u);  // new root + its 8 children
-  for (int i = 0; i < 30; ++i) {
-    const auto deeper = tree.select();
-    tree.backpropagate(deeper.node, 0.5, 1);
-  }
-  EXPECT_EQ(tree.root_visits(), carried + 31u);  // search continues
-}
-
 TEST(Tree, TerminalSelectionIsFlagged) {
   // Drive a Tic-Tac-Toe tree with real playout values (so UCB concentrates
   // on forcing lines) until selections reach terminal states.

@@ -41,21 +41,6 @@ TEST(RootParallel, VirtualTimeIsBudgetNotThreadsTimesBudget) {
   EXPECT_GE(searcher.last_stats().virtual_seconds, 0.02);
 }
 
-TEST(RootParallel, HostThreadModeMatchesModelSimulations) {
-  RootParallelSearcher<ReversiGame> model(
-      {.threads = 4, .use_host_threads = false});
-  RootParallelSearcher<ReversiGame> host(
-      {.threads = 4, .use_host_threads = true});
-  model.reseed(5);
-  host.reseed(5);
-  const auto ma = model.choose_move(ReversiGame::initial_state(), 0.01);
-  const auto mb = host.choose_move(ReversiGame::initial_state(), 0.01);
-  // Identical seeds and budgets: identical trees regardless of execution
-  // mode, hence identical totals and decisions.
-  EXPECT_EQ(model.last_stats().simulations, host.last_stats().simulations);
-  EXPECT_EQ(ma, mb);
-}
-
 TEST(RootParallel, SingleThreadDegeneratesToSequentialRate) {
   RootParallelSearcher<ReversiGame> searcher({.threads = 1});
   (void)searcher.choose_move(ReversiGame::initial_state(), 0.05);

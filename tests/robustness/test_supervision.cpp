@@ -14,18 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "engine/factory.hpp"
 #include "mcts/budget.hpp"
-#include "mcts/flat_mc.hpp"
-#include "mcts/policy_searcher.hpp"
-#include "mcts/rave.hpp"
-#include "mcts/reuse_searcher.hpp"
-#include "mcts/sequential.hpp"
 #include "parallel/block_parallel.hpp"
 #include "parallel/hybrid.hpp"
 #include "parallel/leaf_parallel.hpp"
-#include "parallel/root_parallel.hpp"
-#include "parallel/shared_tree.hpp"
-#include "parallel/tree_parallel.hpp"
 #include "reversi/reversi_game.hpp"
 #include "util/cancel.hpp"
 #include "util/clock.hpp"
@@ -188,102 +181,70 @@ TEST(Supervision, CancellationOutranksWallDeadline) {
   EXPECT_GT(searcher->last_stats().simulations, 0u);  // anytime guard
 }
 
-TEST(Supervision, CpuSchemesHonorPreCancelledToken) {
-  util::CancelToken token;
-  token.cancel();
-  mcts::SearchBudget budget;
-  budget.virtual_seconds = 1.0;
-  budget.cancel = &token;
+// --- The CPU schemes ------------------------------------------------------
+// Every CPU scheme stops through the one mcts::StopCheck. One table of spec
+// strings, built the way users build them; each row runs three stop cases,
+// with a virtual budget (1000 s) that would run for minutes unsupervised.
+// Each case must stop with its own reason, return a legal move, and keep the
+// anytime contract: at least one iteration, so the root has visited
+// children.
+
+constexpr std::array<const char*, 5> kCpuSpecs = {"seq", "flat", "root:2",
+                                                  "tree:4", "shared:4"};
+
+enum class StopCase { kPreCancelled, kWallDeadline, kCrossThreadCancel };
+
+void expect_cpu_schemes_stop(StopCase stop_case) {
+  constexpr double kWallMs = 50.0;
   const auto state = G::initial_state();
-
-  mcts::SequentialSearcher<G> sequential({.seed = 1});
-  parallel::TreeParallelSearcher<G> tree({.workers = 4}, {.seed = 1});
-  parallel::RootParallelSearcher<G> root({.threads = 2}, {.seed = 1});
-  // Regression: these four silently ignored cancel/wall_ms and never set
-  // stop_reason; they now run the same round-boundary check as the rest.
-  mcts::RaveSearcher<G> rave({.seed = 1});
-  mcts::FlatMonteCarloSearcher<G> flat({.seed = 1});
-  mcts::PolicySearcher<G, mcts::UniformPolicy> policy(
-      mcts::UniformPolicy{}, "uniform", {.seed = 1});
-  mcts::ReuseSequentialSearcher<G> reuse({.seed = 1});
-  parallel::SharedTreeSearcher<G> shared({.workers = 4}, {.seed = 1});
-  const std::array<mcts::Searcher<G>*, 8> searchers{
-      &sequential, &tree, &root, &rave, &flat, &policy, &reuse, &shared};
-  for (mcts::Searcher<G>* s : searchers) {
-    SCOPED_TRACE(s->name());
-    const auto move = s->choose_move(state, budget);
-    EXPECT_TRUE(is_legal(state, move));
-    EXPECT_EQ(s->last_stats().stop_reason, mcts::StopReason::kCancelled);
-    // The anytime contract holds even for an instantly-cancelled search:
-    // at least one iteration ran so the root has visited children.
-    EXPECT_GT(s->last_stats().simulations, 0u);
-  }
-}
-
-TEST(Supervision, CpuSchemesHonorWallDeadline) {
-  mcts::SearchBudget budget;
-  budget.virtual_seconds = 1000.0;  // would take minutes unsupervised
-  budget.wall_ms = 50.0;
-  const auto state = G::initial_state();
-
-  mcts::SequentialSearcher<G> sequential({.seed = 2});
-  parallel::TreeParallelSearcher<G> tree({.workers = 4}, {.seed = 2});
-  parallel::RootParallelSearcher<G> root_host({.threads = 2,
-                                               .use_host_threads = true},
-                                              {.seed = 2});
-  // Regression: these four used to burn the whole (here: enormous) virtual
-  // budget with the deadline long gone.
-  mcts::RaveSearcher<G> rave({.seed = 2});
-  mcts::FlatMonteCarloSearcher<G> flat({.seed = 2});
-  mcts::PolicySearcher<G, mcts::UniformPolicy> policy(
-      mcts::UniformPolicy{}, "uniform", {.seed = 2});
-  mcts::ReuseSequentialSearcher<G> reuse({.seed = 2});
-  parallel::SharedTreeSearcher<G> shared({.workers = 4}, {.seed = 2});
-  const std::array<mcts::Searcher<G>*, 8> searchers{
-      &sequential, &tree, &root_host, &rave, &flat, &policy, &reuse, &shared};
-  for (mcts::Searcher<G>* s : searchers) {
-    SCOPED_TRACE(s->name());
-    util::WallTimer timer;
-    const auto move = s->choose_move(state, budget);
-    EXPECT_LE(timer.elapsed_seconds() * 1000.0, 2.0 * 50.0 + 1000.0);
-    EXPECT_TRUE(is_legal(state, move));
-    EXPECT_EQ(s->last_stats().stop_reason, mcts::StopReason::kWallDeadline);
-    EXPECT_GT(s->last_stats().simulations, 0u);
-  }
-}
-
-TEST(Supervision, CpuSchemesStopOnCrossThreadCancellation) {
-  // Cancel arrives mid-search from another thread; every CPU searcher must
-  // notice at a round boundary, attribute kCancelled, and still return a
-  // legal move. The virtual budget (1000 s) would otherwise run for minutes.
-  const auto state = G::initial_state();
-
-  mcts::RaveSearcher<G> rave({.seed = 3});
-  mcts::FlatMonteCarloSearcher<G> flat({.seed = 3});
-  mcts::PolicySearcher<G, mcts::UniformPolicy> policy(
-      mcts::UniformPolicy{}, "uniform", {.seed = 3});
-  mcts::ReuseSequentialSearcher<G> reuse({.seed = 3});
-  parallel::SharedTreeSearcher<G> shared({.workers = 4}, {.seed = 3});
-  const std::array<mcts::Searcher<G>*, 5> searchers{&rave, &flat, &policy,
-                                                    &reuse, &shared};
-  for (mcts::Searcher<G>* s : searchers) {
-    SCOPED_TRACE(s->name());
+  for (const char* text : kCpuSpecs) {
+    SCOPED_TRACE(text);
+    auto searcher = engine::make_searcher<G>(
+        engine::SchemeSpec::parse(text).with_seed(1));
     util::CancelToken token;
     mcts::SearchBudget budget;
     budget.virtual_seconds = 1000.0;
-    budget.cancel = &token;
-    std::thread canceller([&token] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      token.cancel();
-    });
+    mcts::StopReason expected = mcts::StopReason::kCancelled;
+    double max_elapsed_ms = 10'000.0;  // generous CI slack
+    std::thread canceller;
+    switch (stop_case) {
+      case StopCase::kPreCancelled:
+        token.cancel();
+        budget.cancel = &token;
+        break;
+      case StopCase::kWallDeadline:
+        budget.wall_ms = kWallMs;
+        expected = mcts::StopReason::kWallDeadline;
+        max_elapsed_ms = 2.0 * kWallMs + 1000.0;
+        break;
+      case StopCase::kCrossThreadCancel:
+        budget.cancel = &token;
+        canceller = std::thread([&token] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(30));
+          token.cancel();
+        });
+        break;
+    }
     util::WallTimer timer;
-    const auto move = s->choose_move(state, budget);
-    canceller.join();
-    EXPECT_LE(timer.elapsed_seconds(), 10.0);  // generous CI slack
+    const auto move = searcher->choose_move(state, budget);
+    if (canceller.joinable()) canceller.join();
+    EXPECT_LE(timer.elapsed_seconds() * 1000.0, max_elapsed_ms);
     EXPECT_TRUE(is_legal(state, move));
-    EXPECT_EQ(s->last_stats().stop_reason, mcts::StopReason::kCancelled);
-    EXPECT_GT(s->last_stats().simulations, 0u);
+    EXPECT_EQ(searcher->last_stats().stop_reason, expected);
+    EXPECT_GT(searcher->last_stats().simulations, 0u);
   }
+}
+
+TEST(Supervision, CpuSchemesHonorPreCancelledToken) {
+  expect_cpu_schemes_stop(StopCase::kPreCancelled);
+}
+
+TEST(Supervision, CpuSchemesHonorWallDeadline) {
+  expect_cpu_schemes_stop(StopCase::kWallDeadline);
+}
+
+TEST(Supervision, CpuSchemesStopOnCrossThreadCancellation) {
+  expect_cpu_schemes_stop(StopCase::kCrossThreadCancel);
 }
 
 // --- Bit-exactness of the unsupervised path -------------------------------
