@@ -12,7 +12,7 @@
 //    backpropagate, charge the host cost model.
 //  * run_until — the do-while every loop shares: at least one step (the
 //    anytime contract), then stop on a latched bound or the virtual
-//    deadline.
+//    deadline (search_finished, also the served rounds' test).
 #pragma once
 
 #include <algorithm>
@@ -135,15 +135,23 @@ void iterate(Tree<G>& tree, Rng& rng, util::VirtualClock& clock,
   }
 }
 
-/// Runs `step` once, then again until `stop` latches a bound or `clock`
-/// reaches `deadline`. The first step is unconditional, so even a search
-/// that starts cancelled or past its deadline has a visited root.
+/// run_until's loop test: true once `stop` latches a bound or `clock`
+/// reaches `deadline`. For callers that drive the steps themselves.
+[[nodiscard]] inline bool search_finished(StopCheck& stop,
+                                          const util::VirtualClock& clock,
+                                          std::uint64_t deadline) {
+  return stop.should_stop() || clock.cycles() >= deadline;
+}
+
+/// Runs `step` once, then again until search_finished. The first step is
+/// unconditional, so even a search that starts cancelled or past its
+/// deadline has a visited root.
 template <typename Step>
 void run_until(StopCheck& stop, const util::VirtualClock& clock,
                std::uint64_t deadline, Step&& step) {
   do {
     step();
-  } while (!stop.should_stop() && clock.cycles() < deadline);
+  } while (!search_finished(stop, clock, deadline));
 }
 
 }  // namespace gpu_mcts::mcts

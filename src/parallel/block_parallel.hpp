@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,19 +58,40 @@ class BlockParallelGpuSearcher final : public mcts::Searcher<G> {
     int pipeline_depth = 2;
   };
 
+  using Driver = driver::CohortRoundDriver<G>;
+
+  /// The round engine as this searcher configures it. serve::SearchService
+  /// runs one per in-flight ticket, so a served search is this scheme's.
+  [[nodiscard]] static std::unique_ptr<Driver> make_driver(
+      const Options& options, const mcts::SearchConfig& config,
+      simt::VirtualGpu gpu) {
+    return std::make_unique<Driver>(
+        typename Driver::Config{
+            .launch = options.launch,
+            .pipeline_depth = options.pipeline ? options.pipeline_depth : 1,
+            .mode = driver::SimulateMode::kSync},
+        typename driver::CohortTreesSource<G>::Options{
+            .expansion_instant = true},
+        typename driver::PerTreeSink<G>::Options{
+            .playout_plies_histogram = true},
+        typename driver::CpuFallback<G>::Options{
+            .retry = options.retry,
+            .max_failed_rounds = options.max_failed_rounds,
+            .rng_salt = 0xfa11ULL},
+        config, std::move(gpu));
+  }
+
+  [[nodiscard]] static std::string name_for(const Options& options) {
+    return "block-parallel GPU (" + std::to_string(options.launch.blocks) +
+           "x" + std::to_string(options.launch.threads_per_block) +
+           driver::pipeline_suffix(options.pipeline, options.pipeline_depth) +
+           ")";
+  }
+
   BlockParallelGpuSearcher(Options options, mcts::SearchConfig config = {},
                            simt::VirtualGpu gpu = simt::VirtualGpu())
       : options_(options),
-        driver_({.launch = options.launch,
-                 .pipeline_depth = options.pipeline ? options.pipeline_depth
-                                                    : 1,
-                 .mode = driver::SimulateMode::kSync},
-                {.expansion_instant = true},
-                {.playout_plies_histogram = true},
-                {.retry = options.retry,
-                 .max_failed_rounds = options.max_failed_rounds,
-                 .rng_salt = 0xfa11ULL},
-                config, std::move(gpu)),
+        driver_(make_driver(options, config, std::move(gpu))),
         seed_(config.seed) {}
 
   using mcts::Searcher<G>::choose_move;
@@ -80,13 +102,13 @@ class BlockParallelGpuSearcher final : public mcts::Searcher<G> {
     const std::uint64_t search_seed =
         util::derive_seed(seed_, move_counter_++);
     driver::SearchOutcome<G> outcome =
-        driver_.run(state, budget, search_seed, name());
+        driver_->run(state, budget, search_seed, name());
     last_root_stats_ = std::move(outcome.root_stats);
     return outcome.move;
   }
 
   [[nodiscard]] const mcts::SearchStats& last_stats() const noexcept override {
-    return driver_.stats();
+    return driver_->stats();
   }
 
   /// Merged root statistics of the last search — what a multi-GPU rank
@@ -97,11 +119,7 @@ class BlockParallelGpuSearcher final : public mcts::Searcher<G> {
   }
 
   [[nodiscard]] std::string name() const override {
-    return "block-parallel GPU (" + std::to_string(options_.launch.blocks) +
-           "x" + std::to_string(options_.launch.threads_per_block) +
-           driver::pipeline_suffix(options_.pipeline,
-                                   options_.pipeline_depth) +
-           ")";
+    return name_for(options_);
   }
 
   void reseed(std::uint64_t seed) override {
@@ -110,16 +128,12 @@ class BlockParallelGpuSearcher final : public mcts::Searcher<G> {
   }
 
   void set_tracer(obs::Tracer* tracer) noexcept override {
-    driver_.set_tracer(tracer);
+    driver_->set_tracer(tracer);
   }
 
  private:
-  using Driver =
-      driver::RoundDriver<G, driver::CohortTreesSource<G>,
-                          driver::PerTreeSink<G>, driver::CpuFallback<G>>;
-
   Options options_;
-  Driver driver_;
+  std::unique_ptr<Driver> driver_;
   std::uint64_t seed_;
   std::uint64_t move_counter_ = 0;
   std::vector<MergedMove<typename G::Move>> last_root_stats_;

@@ -109,9 +109,7 @@ class HybridSearcher final : public mcts::Searcher<G> {
   }
 
  private:
-  using Driver =
-      driver::RoundDriver<G, driver::CohortTreesSource<G>,
-                          driver::PerTreeSink<G>, driver::CpuFallback<G>>;
+  using Driver = driver::CohortRoundDriver<G>;
 
   Options options_;
   Driver driver_;

@@ -84,11 +84,13 @@ struct HostIsa {
 
 // Runs inside the ifunc resolvers, which the dynamic loader calls before
 // any constructor and before the sanitizer runtimes start, so neither may
-// be instrumented. AVX-512 is keyed on avx512f, as perfbench's batch_isa
-// reports it; every AVX-512F part also has BMI2 and POPCNT, and every AVX2
-// part BMI1 and POPCNT, so the extra checks only keep an unusual virtual
-// CPU from faulting.
-__attribute__((no_sanitize("address", "undefined"))) inline HostIsa
+// be instrumented. That includes ThreadSanitizer: the resolvers run from
+// the binary's IRELATIVE relocations, before the TSan runtime has started,
+// and an instrumented resolver crashes the program before main. AVX-512 is
+// keyed on avx512f, as perfbench's batch_isa reports it; every AVX-512F
+// part also has BMI2 and POPCNT, and every AVX2 part BMI1 and POPCNT, so
+// the extra checks only keep an unusual virtual CPU from faulting.
+__attribute__((no_sanitize("address", "thread", "undefined"))) inline HostIsa
 host_isa() noexcept {
   __builtin_cpu_init();
   const bool bmi_popcnt =
@@ -105,13 +107,13 @@ host_isa() noexcept {
 
 #if GPU_MCTS_PLY_DISPATCH
 // One resolver per entry point; `type` names the overload it binds.
-#define GPU_MCTS_PLY_RESOLVER(resolver, fn, type)                 \
-  extern "C" __attribute__((no_sanitize("address", "undefined"))) \
-  type resolver() noexcept {                                      \
-    const detail::HostIsa host = detail::host_isa();              \
-    if (host.avx512) return &detail::avx512::fn;                  \
-    if (host.avx2) return &detail::avx2::fn;                      \
-    return &detail::base::fn;                                     \
+#define GPU_MCTS_PLY_RESOLVER(resolver, fn, type)                           \
+  extern "C" __attribute__((no_sanitize("address", "thread", "undefined"))) \
+  type resolver() noexcept {                                                \
+    const detail::HostIsa host = detail::host_isa();                        \
+    if (host.avx512) return &detail::avx512::fn;                            \
+    if (host.avx2) return &detail::avx2::fn;                                \
+    return &detail::base::fn;                                               \
   }
 
 using MovesBatchFn = void (*)(const Bitboard*, const Bitboard*, Bitboard*,

@@ -13,8 +13,11 @@
 // packs their block counts into the service grid greedily in deadline
 // order, and runs one combined round through SessionCohortSource — the
 // cross-session cohort batching that generalizes the paper's block-parallel
-// grid-filling to independent games. The service clock then advances by the
-// shared kernel charge plus the riders' serialized host phases.
+// grid-filling to independent games. Every in-flight ticket is the block
+// scheme's own RoundDriver, configured as BlockParallelGpuSearcher
+// configures it; the combined round stages each driver, launches once, and
+// settles each driver with its slice. The service clock then advances by
+// the shared kernel charge plus the drivers' serialized host phases.
 //
 // Determinism: rounds are driven entirely by the calling thread (wait /
 // run_until_idle) under the service mutex; arrivals are *virtual* times, so
@@ -57,6 +60,7 @@
 #include "mcts/stats.hpp"
 #include "mcts/transposition.hpp"
 #include "obs/trace.hpp"
+#include "parallel/block_parallel.hpp"
 #include "parallel/driver/session_source.hpp"
 #include "simt/geometry.hpp"
 #include "simt/vgpu.hpp"
@@ -152,6 +156,9 @@ class SearchService {
               options_.transposition_mb));
     }
     gpu_.set_execution_policy(options_.exec);
+    // Every ticket's driver runs on a copy of this device; creating the
+    // pool first makes each copy borrow it instead of starting its own.
+    (void)gpu_.worker_pool();
   }
 
   SearchService(const SearchService&) = delete;
@@ -203,16 +210,14 @@ class SearchService {
     Session s;
     s.spec = spec;
     // All sessions share the service's table (nullptr when disabled): the
-    // riders' trees pick the pointer up through SearchConfig.
+    // drivers' trees pick the pointer up through SearchConfig.
     s.spec.search.transposition = transposition_.get();
     s.seed = seed;
-    s.label = "block-parallel GPU (" + std::to_string(spec.blocks) + "x" +
-              std::to_string(spec.threads_per_block) + ")";
     s.tracer = tracer;
     if (tracer != nullptr) {
       // Standalone parity: BlockParallelGpuSearcher::set_tracer creates the
       // "gpu" track immediately, before any search runs.
-      s.gpu_track = tracer->track("gpu");
+      (void)tracer->track("gpu");
     }
     if (service_tracer_ != nullptr) {
       s.serve_track =
@@ -363,15 +368,14 @@ class SearchService {
   }
 
  private:
-  using Rider = parallel::driver::SessionRider<G>;
+  using Searcher = parallel::BlockParallelGpuSearcher<G>;
+  using Driver = parallel::driver::CohortRoundDriver<G>;
 
   struct Session {
     engine::SchemeSpec spec;
     std::uint64_t seed = 0;
     std::uint64_t move_counter = 0;
-    std::string label;
     obs::Tracer* tracer = nullptr;
-    int gpu_track = 0;
     int serve_track = -1;
     /// Unfinished tickets, submission order; only the front may run.
     std::deque<TicketId> queue;
@@ -389,7 +393,7 @@ class SearchService {
     std::uint64_t deadline_cycles = 0;
     /// Shared with cancel_tokens_ so cancel() can latch it without mu_.
     std::shared_ptr<util::CancelToken> cancel;
-    std::unique_ptr<Rider> rider;  ///< non-null while in flight
+    std::unique_ptr<Driver> driver;  ///< non-null while in flight
     bool done = false;
     MoveResult<G> result;
   };
@@ -419,7 +423,7 @@ class SearchService {
     for (auto& [sid, s] : sessions_) {
       if (s.queue.empty()) continue;
       Ticket& t = ticket_at(s.queue.front());
-      if (t.rider != nullptr || t.arrival_cycles <= clock_.cycles()) {
+      if (t.driver != nullptr || t.arrival_cycles <= clock_.cycles()) {
         cands.push_back({&t, &s});
       } else {
         next_arrival = std::min(next_arrival, t.arrival_cycles);
@@ -449,21 +453,21 @@ class SearchService {
     // most urgent ticket always fits: open_session bounds every session's
     // share by the grid.
     std::vector<Cand> packed;
-    std::vector<Rider*> riders;
+    std::vector<Driver*> drivers;
     int packed_blocks = 0;
     for (const Cand& c : cands) {
       const int share = c.session->spec.blocks;
       if (packed_blocks + share > options_.grid.blocks) continue;
       packed_blocks += share;
-      if (c.ticket->rider == nullptr) start_ticket(*c.ticket, *c.session);
+      if (c.ticket->driver == nullptr) start_ticket(*c.ticket, *c.session);
       packed.push_back(c);
-      riders.push_back(c.ticket->rider.get());
+      drivers.push_back(c.ticket->driver.get());
     }
     const auto charge =
-        parallel::driver::SessionCohortSource<G>::run_round(gpu_, riders);
+        parallel::driver::SessionCohortSource<G>::run_round(gpu_, drivers);
     clock_.advance(charge.total());
     for (const Cand& c : packed) {
-      if (c.ticket->rider->finished()) finish_ticket(*c.ticket, *c.session);
+      if (c.ticket->driver->finished()) finish_ticket(*c.ticket, *c.session);
     }
     return true;
   }
@@ -472,11 +476,11 @@ class SearchService {
     // One ticket = one move decision: age the shared table exactly as the
     // factory's decorator does per choose_move.
     if (transposition_ != nullptr) transposition_->bump_epoch();
-    t.rider = std::make_unique<Rider>(
-        t.state, s.spec.search, t.search_seed,
-        static_cast<std::size_t>(s.spec.blocks), s.spec.threads_per_block,
-        t.budget, t.cancel.get(), s.tracer, s.gpu_track, s.label,
-        gpu_.host().clock_hz);
+    const typename Searcher::Options options{.launch = s.spec.launch()};
+    t.driver = Searcher::make_driver(options, s.spec.search, gpu_);
+    t.driver->set_tracer(s.tracer);
+    t.driver->begin(t.state, t.budget, t.search_seed,
+                    Searcher::name_for(options), t.cancel.get());
     if (service_tracer_ != nullptr && s.serve_track >= 0) {
       service_tracer_->instant(s.serve_track, "ticket_start", clock_.cycles(),
                                {{"ticket", static_cast<double>(t.id)}});
@@ -484,13 +488,13 @@ class SearchService {
   }
 
   void finish_ticket(Ticket& t, Session& s) {
-    parallel::driver::SearchOutcome<G> outcome = t.rider->conclude();
+    parallel::driver::SearchOutcome<G> outcome = t.driver->conclude();
     t.result.move = outcome.move;
-    t.result.stats = t.rider->stats();
+    t.result.stats = t.driver->stats();
     t.result.arrival_virtual_seconds =
         static_cast<double>(t.arrival_cycles) / clock_.frequency_hz();
     t.result.completion_virtual_seconds = clock_.seconds();
-    t.rider.reset();
+    t.driver.reset();
     t.done = true;
     util::check(!s.queue.empty() && s.queue.front() == t.id,
                 "finished ticket is its session's head");

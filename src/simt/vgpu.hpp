@@ -92,11 +92,11 @@ struct StreamLaunch {
 };
 
 /// A synchronous launch that hands the raw warp traces back to the caller
-/// (VirtualGpu::launch_traced). Multiplexers that pack several tenants'
-/// blocks into one grid need the traces to slice per-tenant divergence and
-/// to re-derive what each tenant's launch would have cost — and they emit
-/// their own per-tenant trace events, so launch_traced deliberately skips
-/// the VirtualGpu's own "kernel_launch" instant.
+/// (VirtualGpu::launch_traced). A multiplexer that packs several tenants'
+/// blocks into one grid slices the traces to price what each tenant's own
+/// launch would have cost, and finishes each tenant's launch with that
+/// price (VirtualGpu::finish_launch) — so launch_traced itself emits no
+/// "kernel_launch" instant. The vector is the caller's to rebase in place.
 struct TracedLaunch {
   LaunchResult result;
   std::vector<WarpTrace> traces;
@@ -258,17 +258,30 @@ class VirtualGpu {
     }
     LaunchResult result = execute_observed(cfg, kernel);
     apply_stall(result, host_clock);
+    finish_launch(cfg, result, host_clock, start_cycle);
+    return result;
+  }
+
+  /// The tail of every delivered synchronous launch: charges `result` to
+  /// the host clock and emits its "kernel_launch" instant at
+  /// `start_cycle`. A multiplexed launch (launch_traced) calls it once per
+  /// tenant, on the tenant's own device and clock, with the tenant's priced
+  /// slice — so a served search is charged and traced exactly as its own
+  /// launch would be.
+  void finish_launch(const LaunchConfig& cfg, const LaunchResult& result,
+                     util::VirtualClock& host_clock,
+                     std::uint64_t start_cycle) {
     host_clock.advance(host_cycles_for(result));
     trace_launch(cfg, result, start_cycle);
-    return result;
   }
 
   /// Synchronous launch that also returns the raw warp traces. Identical to
   /// launch() in every modeled respect — fault branches, stall handling,
-  /// clock advance — but emits no "kernel_launch" trace event: callers that
-  /// multiplex several logical launches into one grid own the per-tenant
-  /// emission (see serve::SearchService). On a fault branch the trace
-  /// vector is empty (nothing executed).
+  /// clock advance — but emits no "kernel_launch" trace event: a caller
+  /// that multiplexes several logical launches into one grid finishes each
+  /// of them itself (finish_launch; see parallel::driver::
+  /// SessionCohortSource). On a fault branch the trace vector is empty
+  /// (nothing executed).
   template <LaneKernel K>
   TracedLaunch launch_traced(const LaunchConfig& cfg, K& kernel,
                              util::VirtualClock& host_clock) {

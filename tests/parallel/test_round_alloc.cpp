@@ -131,6 +131,14 @@ TEST(RoundAlloc, LeafPipelinedRoundsAreBounded) {
       24.0);
 }
 
+TEST(RoundAlloc, BlockSyncRoundsAreNearAllocationFree) {
+  // The synchronous block round is also every served ticket's round
+  // (serve::SearchService). It measured 6 allocations per round when this
+  // bound was set; the bound keeps the leaf sync case's headroom.
+  expect_bounded_per_round(engine::SchemeSpec::block_gpu(8, 32).with_seed(7),
+                           8.0);
+}
+
 TEST(RoundAlloc, BlockPipelinedRoundsStayBounded) {
   // Block parallelism legitimately allocates tree nodes every round; the
   // bound admits that growth while still catching per-round vector churn.

@@ -12,9 +12,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -186,6 +189,58 @@ TEST(ServeBitIdentity, SharingTheDeviceDoesNotPerturbATenant) {
   EXPECT_EQ(trace_hash(shared_tracer), trace_hash(alone_tracer));
 }
 
+/// One ticket through a fresh service against one choose_move on the
+/// standalone searcher: same move, bitwise stats (stop_reason included),
+/// and the same trace hash, which covers the "stop_reason" instant.
+void expect_served_matches_standalone(const engine::SchemeSpec& spec,
+                                      const mcts::SearchBudget& budget,
+                                      mcts::StopReason expected) {
+  const auto state = ReversiGame::initial_state();
+  obs::Tracer standalone_tracer;
+  auto searcher = engine::make_searcher<ReversiGame>(spec);
+  searcher->set_tracer(&standalone_tracer);
+  const int move = static_cast<int>(searcher->choose_move(state, budget));
+  const mcts::SearchStats stats = searcher->last_stats();
+
+  obs::Tracer session_tracer;
+  SearchService<ReversiGame> service(options_for(spec.threads_per_block));
+  const SessionId session =
+      service.open_session(spec, spec.search.seed, &session_tracer);
+  const MoveResult<ReversiGame> r =
+      service.wait(service.submit(session, state, budget));
+  service.close_session(session);
+
+  EXPECT_EQ(stats.stop_reason, expected);
+  EXPECT_EQ(encode_stats(static_cast<int>(r.move), r.stats),
+            encode_stats(move, stats));
+  bool stop_instant = false;
+  for (const obs::TraceEvent& e : standalone_tracer.merged()) {
+    stop_instant = stop_instant || std::strcmp(e.name, "stop_reason") == 0;
+  }
+  EXPECT_TRUE(stop_instant);
+  EXPECT_EQ(trace_hash(session_tracer), trace_hash(standalone_tracer));
+}
+
+TEST(ServeBitIdentity, BudgetCancelledBeforeSubmitMatchesStandalone) {
+  // The budget's own token, cancelled up front: one round, then kCancelled.
+  util::CancelToken cancel;
+  cancel.cancel();
+  mcts::SearchBudget budget = mcts::SearchBudget::from_seconds(kBudget);
+  budget.cancel = &cancel;
+  expect_served_matches_standalone(
+      engine::SchemeSpec::block_gpu(8, 32).with_seed(105), budget,
+      mcts::StopReason::kCancelled);
+}
+
+TEST(ServeBitIdentity, TreeSaturationStopMatchesStandalone) {
+  engine::SchemeSpec spec = engine::SchemeSpec::block_gpu(8, 32).with_seed(105);
+  spec.search.max_nodes = 256;
+  mcts::SearchBudget budget = mcts::SearchBudget::from_seconds(1.0);
+  budget.stop_on_tree_saturation = true;
+  expect_served_matches_standalone(spec, budget,
+                                   mcts::StopReason::kTreeSaturated);
+}
+
 // ---- determinism across exec thread counts ---------------------------------
 
 std::string run_scenario(int exec_threads) {
@@ -311,7 +366,7 @@ TEST(ServeCancel, CrossThreadCancelStopsAtARoundBoundary) {
 
 TEST(ServeCancel, CancelBeforeStartStillRunsOneRound) {
   // Grid fits one session; the queued ticket is cancelled before it ever
-  // gets a rider. It must still return a move from exactly one round.
+  // gets a driver. It must still return a move from exactly one round.
   SearchService<ReversiGame> service(options_for(32, /*grid_blocks=*/8));
   const auto state = ReversiGame::initial_state();
   const mcts::SearchBudget budget = mcts::SearchBudget::from_seconds(0.05);
@@ -326,6 +381,41 @@ TEST(ServeCancel, CancelBeforeStartStillRunsOneRound) {
   const MoveResult<ReversiGame> r = *service.poll(queued);
   EXPECT_EQ(r.stats.stop_reason, mcts::StopReason::kCancelled);
   EXPECT_EQ(r.stats.gpu_rounds, 1u);
+}
+
+// ---- exec thread pool -------------------------------------------------------
+
+/// Live threads of this process, or nullopt where /proc/self/task is absent.
+std::optional<std::size_t> live_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return std::nullopt;
+  return static_cast<std::size_t>(
+      std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+TEST(ServeThreads, TicketsBorrowTheServicePoolAndLeaveNoThreads) {
+  // Every ticket's driver runs on a copy of the service's device. The
+  // service starts its exec pool before any copy is made, so the copies
+  // borrow it: no ticket adds threads, and sixty tickets leave no more
+  // behind than the first one did.
+  if (!live_threads().has_value()) GTEST_SKIP() << "no /proc/self/task";
+  ServiceOptions options = options_for(32, /*grid_blocks=*/16);
+  options.exec.threads = 4;
+  SearchService<ReversiGame> service(options);
+  const std::size_t with_pool = *live_threads();
+  const auto state = ReversiGame::initial_state();
+  const mcts::SearchBudget budget = mcts::SearchBudget::from_seconds(0.002);
+  const SessionId session = service.open_session(
+      engine::SchemeSpec::block_gpu(8, 32).with_seed(11), 11);
+  (void)service.wait(service.submit(session, state, budget));
+  const std::size_t after_first = *live_threads();
+  EXPECT_LE(after_first, with_pool);
+  for (int i = 1; i < 60; ++i) {
+    (void)service.wait(service.submit(session, state, budget));
+  }
+  EXPECT_LE(*live_threads(), after_first);
+  service.close_session(session);
 }
 
 // ---- admission control -----------------------------------------------------
