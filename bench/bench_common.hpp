@@ -34,8 +34,8 @@ struct CommonFlags {
   std::string trace_jsonl;
   std::string trace_chrome;
   /// Host worker threads for the VirtualGpu execution backend (0 = inherit
-  /// GPU_MCTS_EXEC_THREADS). Bit-identical results for every value; this
-  /// only changes wall-clock time (DESIGN.md §9).
+  /// GPU_MCTS_EXEC_THREADS, else every host CPU). Bit-identical results for
+  /// every value; this only changes wall-clock time (DESIGN.md §9).
   int exec_threads = 0;
   /// Stream-pipelined rounds for the leaf/block/hybrid GPU subjects (the
   /// "+pipeline[:<depth>]" spec suffix). Bit-identical results for leaf and

@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
   spec.search.seed = args.get_uint("seed", 2011);
   // Host workers for the virtual GPU's execution backend. Results are
   // bit-identical for every value — this only buys wall-clock speed
-  // (DESIGN.md §9). 0 inherits GPU_MCTS_EXEC_THREADS.
+  // (DESIGN.md §9). 0 inherits GPU_MCTS_EXEC_THREADS, else uses every
+  // host CPU.
   spec.exec_threads = static_cast<int>(args.get_uint("exec-threads", 0));
   // Stream-pipelined rounds for the leaf/block/hybrid GPU schemes
   // (equivalent to the "+pipeline[:<depth>]" spec suffix); leaf/block

@@ -42,6 +42,10 @@ class DistributedRootSearcher final : public mcts::Searcher<G> {
       : options_(options), config_(config), seed_(config.seed) {
     util::expects(options.ranks >= 1, "at least one rank");
     ranks_.reserve(static_cast<std::size_t>(options.ranks));
+    // Every rank searches on a copy of this device, one rank after another;
+    // creating the pool first makes each copy borrow it instead of starting
+    // its own.
+    (void)gpu.worker_pool();
     for (int r = 0; r < options.ranks; ++r) {
       mcts::SearchConfig rank_config = config;
       rank_config.seed = util::derive_seed(config.seed, 0xa110c ^ r);

@@ -93,10 +93,11 @@ struct SchemeSpec {
   /// pre-table engine. The factory owns the table and shares it across
   /// every tree the searcher builds; see mcts/transposition.hpp.
   int tt_mb = 0;
-  /// Host worker threads for the VirtualGpu execution backend (kernel grids
-  /// and per-tree host phases; results are bit-identical for every value —
-  /// the knob only buys wall-clock speed, see DESIGN.md §9). 0 (the
-  /// default) inherits the GPU_MCTS_EXEC_THREADS environment variable.
+  /// Host worker threads for the VirtualGpu execution backend (kernel
+  /// grids; results are bit-identical for every value — the knob only buys
+  /// wall-clock speed, see DESIGN.md §9). 0 (the
+  /// default) takes ExecutionPolicy::from_env(): GPU_MCTS_EXEC_THREADS when
+  /// set, else every CPU the process may run on.
   int exec_threads = 0;
 
   /// Search parameters (seed, UCB constant, node cap).

@@ -156,6 +156,9 @@ class TranspositionTable {
   /// not kNoHint — its best-move hint. Inserts (possibly evicting, see the
   /// replacement order above) when the key is absent. Safe from any number
   /// of threads; racing writers may lose a delta, never corrupt an entry.
+  /// Only shared:W stores concurrently: the GPU cohort schemes and the
+  /// service backpropagate on one thread in tree order (DESIGN.md §9.2),
+  /// so their stores and evictions are the same at every exec thread count.
   void store(std::uint64_t key, std::uint32_t delta_visits,
              std::uint64_t delta_wins_half,
              std::uint8_t move_hint = kNoHint) {

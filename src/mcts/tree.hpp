@@ -79,7 +79,11 @@ class Tree {
   /// Reinitializes the tree on a new root position.
   void reset(const State& root_state) {
     nodes_.clear();
-    nodes_.reserve(1024);
+    // A move's search touches about 10-12 nodes per tree on the GPU grids
+    // (tree_nodes_per_op / trees, block:112x128 and hybrid:448x32), so 16
+    // covers it at 640 B a tree. Longer searches grow the arena
+    // geometrically.
+    nodes_.reserve(16);
     root_state_ = root_state;
     max_depth_ = 0;
     outstanding_virtual_loss_ = 0;

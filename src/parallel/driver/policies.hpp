@@ -42,7 +42,6 @@
 #include "util/clock.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gpu_mcts::parallel::driver {
 
@@ -65,11 +64,11 @@ concept CohortRoundSource =
     game::Game<G> && !S::kSharedRoot &&
     requires(S s, const typename G::State& state, mcts::SearchConfig cfg,
              obs::Tracer* tracer, util::VirtualClock& clock,
-             util::ThreadPool* pool, const simt::CostModel& cost,
+             const simt::CostModel& cost,
              std::span<typename G::State> roots, std::size_t i,
              mcts::SearchStats& stats) {
       s.init(state, cfg, std::uint64_t{}, i);
-      s.select(tracer, clock, pool, cost, roots, i, i, int{});
+      s.select(tracer, clock, cost, roots, i, i, int{});
       { s.count() } -> std::convertible_to<std::size_t>;
       { s.conclude(stats) } -> std::same_as<SearchOutcome<G>>;
     };
@@ -97,9 +96,8 @@ template <typename Sk, typename G, typename Src>
 concept RoundSink =
     requires(Sk sink, Src& src, std::size_t i,
              std::span<const simt::BlockResult> tallies,
-             util::ThreadPool* pool, obs::Tracer* tracer,
-             mcts::SearchStats& stats) {
-      sink.backprop(src, i, i, tallies, pool);
+             obs::Tracer* tracer, mcts::SearchStats& stats) {
+      sink.backprop(src, i, i, tallies);
       sink.observe(tracer, stats, tallies);
     };
 
@@ -146,11 +144,10 @@ class CohortTreesSource {
   /// Selection phase for trees [begin, begin + count): emits the "selection"
   /// span (with a "cohort" arg when `cohort >= 0`), writes each tree's
   /// selected state into `roots_host`, records the leaf nodes, and charges
-  /// one host tree op per tree to `clock`. The per-tree work may fan out on
-  /// the pool (each tree owns its RNG and arena); the charge is bulk either
-  /// way, so the timeline is identical at any exec thread count.
+  /// one host tree op per tree to `clock`. Runs on the calling thread: a
+  /// selection costs too little to repay a pool dispatch.
   void select(obs::Tracer* tracer, util::VirtualClock& clock,
-              util::ThreadPool* pool, const simt::CostModel& cost,
+              const simt::CostModel& cost,
               std::span<typename G::State> roots_host, std::size_t begin,
               std::size_t count, int cohort) {
     constexpr int host_track = obs::Tracer::kHostTrack;
@@ -172,20 +169,10 @@ class CohortTreesSource {
                      std::initializer_list<obs::Arg>{
                          {"trees", static_cast<double>(count)}});
       }
-      const auto select_tree = [&](std::size_t t) {
+      for (std::size_t t = begin; t < begin + count; ++t) {
         const mcts::Selection<G> sel = trees_[t]->select();
         roots_host[t] = sel.state;
         leaves_[t] = sel.node;
-      };
-      if (pool != nullptr) {
-        pool->parallel_for_ranges(count,
-                                  [&](std::size_t lo, std::size_t hi) {
-                                    for (std::size_t i = lo; i < hi; ++i) {
-                                      select_tree(begin + i);
-                                    }
-                                  });
-      } else {
-        for (std::size_t i = 0; i < count; ++i) select_tree(begin + i);
       }
       // The host core still performs every tree operation in the model;
       // the bulk charge equals the per-tree sum exactly.
@@ -302,9 +289,10 @@ class SharedLeafSource {
 // Sinks
 // ---------------------------------------------------------------------------
 
-/// Per-tree fold: tally slot i backpropagates into tree (begin + i); the
-/// per-tree updates are independent, so the pool may fan them out while
-/// stats/histograms stay on the controlling thread in tree order.
+/// Per-tree fold: tally slot i backpropagates into tree (begin + i), in
+/// tree order on the calling thread. Trees may share a transposition table,
+/// and which entries an insert evicts depends on the stores before it, so
+/// this order is what keeps the table identical at every exec thread count.
 template <game::Game G>
 class PerTreeSink {
  public:
@@ -317,20 +305,12 @@ class PerTreeSink {
   explicit PerTreeSink(Options options) : options_(options) {}
 
   void backprop(CohortTreesSource<G>& source, std::size_t begin,
-                std::size_t count, std::span<const simt::BlockResult> tallies,
-                util::ThreadPool* pool) {
-    const auto backprop_tree = [&](std::size_t i) {
-      const std::size_t t = begin + i;
-      source.tree(t).backpropagate(source.leaf(t), tallies[i].value_first,
-                                   tallies[i].simulations,
-                                   tallies[i].value_sq_first);
-    };
-    if (pool != nullptr) {
-      pool->parallel_for_ranges(count, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) backprop_tree(i);
-      });
-    } else {
-      for (std::size_t i = 0; i < count; ++i) backprop_tree(i);
+                std::size_t count,
+                std::span<const simt::BlockResult> tallies) {
+    for (std::size_t i = 0; i < count; ++i) {
+      source.tree(begin + i).backpropagate(
+          source.leaf(begin + i), tallies[i].value_first,
+          tallies[i].simulations, tallies[i].value_sq_first);
     }
   }
 
@@ -368,8 +348,7 @@ class SummedTallySink {
 
   void backprop(SharedLeafSource<G>& source, std::size_t /*begin*/,
                 std::size_t /*count*/,
-                std::span<const simt::BlockResult> tallies,
-                util::ThreadPool* /*pool*/) {
+                std::span<const simt::BlockResult> tallies) {
     const simt::BlockResult tally = sum_tallies(tallies);
     source.tree().backpropagate(source.selected_node(), tally.value_first,
                                 tally.simulations, tally.value_sq_first);

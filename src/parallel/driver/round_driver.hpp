@@ -47,7 +47,6 @@
 #include "util/clock.hpp"
 #include "util/fault.hpp"
 #include "util/retry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gpu_mcts::parallel::driver {
 
@@ -183,12 +182,6 @@ class RoundDriver {
         s.results->set_retry_policy(fallback_.options().retry);
       }
     }
-    // Threaded execution backend: the same pool that partitions kernel
-    // grids also fans out the per-tree host phases (each tree owns its RNG
-    // and arena, so parallel order cannot change results). nullptr =
-    // sequential.
-    s.pool = gpu_.worker_pool();
-
     // Two timelines (DESIGN.md §10). The overlap clock is the honest
     // overlapped schedule of a pipelined round. Without faults, in kSync
     // mode, the *main* clock instead advances once per round by exactly the
@@ -387,7 +380,6 @@ class RoundDriver {
     bool stop_on_tree_saturation;
     std::uint64_t search_seed = 0;
     std::size_t trees_n = 1;
-    util::ThreadPool* pool = nullptr;
     bool pipelined = false;
     bool dual_clock = false;
     int gpu_track = 0;
@@ -522,7 +514,7 @@ class RoundDriver {
   /// Throws util::FaultError when the upload's retry budget is exhausted.
   void stage_sync() {
     Search& s = *search_;
-    source_.select(tracer_, s.clock, s.pool, gpu_.cost(), s.roots->host(), 0,
+    source_.select(tracer_, s.clock, gpu_.cost(), s.roots->host(), 0,
                    s.trees_n, /*cohort=*/-1);
     {
       obs::ScopedSpan span(tracer_, kHostTrack, "upload", s.clock);
@@ -641,10 +633,8 @@ class RoundDriver {
         s.results->host_checked();
     {
       obs::ScopedSpan span(tracer_, kHostTrack, "backprop", s.clock);
-      sink_.backprop(source_, 0, s.trees_n, tallies, s.pool);
+      sink_.backprop(source_, 0, s.trees_n, tallies);
     }
-    // Stats and tracer observations on the controlling thread, in tree
-    // order — identical with and without the pool.
     sink_.observe(tracer_, stats_, tallies);
     // Divergence is averaged over *successful* GPU rounds only: a failed
     // or CPU-fallback round launched no kernel (or lost its results), and
@@ -708,7 +698,7 @@ class RoundDriver {
     const std::span<const simt::BlockResult> tallies = result.host_checked();
     {
       obs::ScopedSpan span(tracer_, kHostTrack, "backprop", s.clock);
-      sink_.backprop(source_, 0, 1, tallies, s.pool);
+      sink_.backprop(source_, 0, 1, tallies);
     }
     sink_.observe(tracer_, stats_, tallies);
     stats_.gpu_rounds += 1;
@@ -803,7 +793,7 @@ class RoundDriver {
       obs::ScopedSpan span(tracer_, kHostTrack, "backprop", pipe,
                            {{"cohort", static_cast<double>(c.stream)}});
       sink_.backprop(source_, c.begin, c.count,
-                     s.results->host_checked_range(c.begin, c.count), s.pool);
+                     s.results->host_checked_range(c.begin, c.count));
       return true;
     };
 
@@ -825,7 +815,7 @@ class RoundDriver {
       // Cohort boundary: once the search decides to stop, later cohorts are
       // not enqueued (the ones already in flight are drained below).
       if (s.stop.should_stop()) break;
-      source_.select(tracer_, pipe, s.pool, gpu_.cost(), s.roots->host(),
+      source_.select(tracer_, pipe, gpu_.cost(), s.roots->host(),
                      c.begin, c.count, c.stream);
       try {
         tickets[static_cast<std::size_t>(c.stream)] = enqueue_cohort(c);
@@ -1001,7 +991,7 @@ class RoundDriver {
         result.host_checked_range(0, s.cohorts.size());
     {
       obs::ScopedSpan span(tracer_, kHostTrack, "backprop", pipe);
-      sink_.backprop(source_, 0, s.cohorts.size(), tallies, s.pool);
+      sink_.backprop(source_, 0, s.cohorts.size(), tallies);
     }
     const simt::LaunchStats agg =
         simt::aggregate_stats(s.round_traces, gpu_.device());

@@ -26,9 +26,10 @@ namespace gpu_mcts::simt {
 /// make_lane and lane_step may run concurrently for lanes of *different
 /// blocks* and must therefore not mutate kernel-shared state — they should
 /// read shared inputs and write only the lane's own state, exactly as a real
-/// GPU kernel body would. lane_finish is exempt: the executor always commits
-/// it from the launching thread, in canonical (block, thread) order, so
-/// shared output accumulation stays deterministic.
+/// GPU kernel body would. lane_finish is exempt: the executor commits it one
+/// call at a time, in canonical (block, thread) order (on a pool worker when
+/// threaded, ordered by an acquire/release cursor), so shared output
+/// accumulation stays deterministic.
 template <typename K>
 concept LaneKernel = requires(K k, typename K::LaneState& lane,
                               const LaneId& id) {

@@ -18,26 +18,31 @@
 //
 // Execution backend (DESIGN.md §9): blocks are independent by construction
 // (per-lane RNG streams, per-block result slots), so the grid can be
-// partitioned by block across a worker pool. The threaded path stages every
-// lane's final state and commits lane_finish() on the calling thread in
-// canonical (block, thread) order, and per-warp traces land in canonical
-// slots — results, divergence statistics, and modeled device cycles are
-// bit-identical to the sequential path. threads == 1 (the default) runs the
+// partitioned by block across a worker pool. Each worker stages its chunk's
+// final lane states and commits them once every earlier chunk has, so
+// lane_finish() runs in canonical (block, thread) order, and per-warp traces
+// land in canonical slots — results, divergence statistics, and modeled
+// device cycles are bit-identical to the sequential path. The default thread
+// count is the number of CPUs the process may run on; threads == 1 runs the
 // original single-thread loop.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <sched.h>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -134,14 +139,26 @@ enum class WarpBackend : std::uint8_t {
   return WarpBackend::kBatched;
 }
 
-/// How the VirtualGpu executes a grid on the host. `threads == 1` (the
-/// default) runs blocks sequentially on the calling thread; `threads > 1`
-/// partitions the grid by block across that many pool workers. Kernel
-/// outputs, warp traces, and device cycles are bit-identical either way
-/// (the point of the backend is wall-clock speed, not modeled behaviour),
-/// which requires kernels' make_lane/lane_step to be safe to call
-/// concurrently for lanes of different blocks — true of every in-tree
-/// kernel, whose lane steps touch only the lane's own state.
+/// CPUs this process may run on: the size of its sched_getaffinity mask,
+/// falling back to std::thread::hardware_concurrency(), clamped to
+/// [1, 1024]. Honours taskset and cgroup cpusets where nproc does.
+[[nodiscard]] inline int host_cpu_count() {
+  int n = 0;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) n = CPU_COUNT(&set);
+  if (n < 1) n = static_cast<int>(std::thread::hardware_concurrency());
+  return std::clamp(n, 1, 1024);
+}
+
+/// How the VirtualGpu executes a grid on the host. `threads == 1` runs
+/// blocks sequentially on the calling thread; `threads > 1` partitions the
+/// grid by block across that many pool workers (from_env() defaults to
+/// every host CPU). Kernel outputs, warp traces, and device cycles are
+/// bit-identical either way (the point of the backend is wall-clock speed,
+/// not modeled behaviour), which requires kernels' make_lane/lane_step to
+/// be safe to call concurrently for lanes of different blocks — true of
+/// every in-tree kernel, whose lane steps touch only the lane's own state.
 struct ExecutionPolicy {
   int threads = 1;
 
@@ -151,14 +168,17 @@ struct ExecutionPolicy {
   /// without plumbing.
   WarpBackend warp_backend = warp_backend_from_env();
 
-  /// Policy from the GPU_MCTS_EXEC_THREADS environment variable (default 1,
-  /// clamped to [1, 1024]). Freshly constructed VirtualGpus start from this,
-  /// so benches and examples pick up the knob without plumbing.
+  /// Policy from the GPU_MCTS_EXEC_THREADS environment variable (clamped to
+  /// [1, 1024]); unset, every CPU the process may run on (host_cpu_count).
+  /// Freshly constructed VirtualGpus start from this, so benches and
+  /// examples use the host's cores without plumbing.
   [[nodiscard]] static ExecutionPolicy from_env() {
     ExecutionPolicy policy;
     if (const char* env = std::getenv("GPU_MCTS_EXEC_THREADS")) {
       const int n = std::atoi(env);
       policy.threads = n < 1 ? 1 : (n > 1024 ? 1024 : n);
+    } else {
+      policy.threads = host_cpu_count();
     }
     return policy;
   }
@@ -211,9 +231,7 @@ class VirtualGpu {
   }
 
   /// The worker pool backing threaded execution, or nullptr when the policy
-  /// is sequential. Searchers reuse this pool for their independent-tree
-  /// host phases (per-tree selection/backpropagation), so one knob sizes all
-  /// host parallelism. Lazily created; copies of this VirtualGpu made before
+  /// is sequential. Lazily created; copies of this VirtualGpu made before
   /// first use each get their own pool, copies made after share it (the pool
   /// is thread-safe, and sharing keeps thread counts bounded).
   [[nodiscard]] util::ThreadPool* worker_pool() {
@@ -391,8 +409,8 @@ class VirtualGpu {
   /// inputs/outputs must not be touched by the caller, until wait() returns
   /// this ticket's StreamLaunch (the future inside wait() is the
   /// synchronization point). Grids with more than one block use the worker
-  /// pool when the execution policy is threaded — the pool is shared with
-  /// the controller's own host phases and is safe to use from both sides.
+  /// pool when the execution policy is threaded — the pool is shared by
+  /// every launch of this device and is safe to use from several threads.
   ///
   /// The host clock is charged the enqueue half of the launch overhead.
   /// Fault draws (launch failure, stall) happen here, on the controlling
@@ -882,14 +900,50 @@ class VirtualGpu {
     return traces;
   }
 
-  /// Threaded backend: contiguous block ranges run on pool workers; every
-  /// per-warp trace lands in its canonical slot (block-major order, exactly
-  /// the sequential push_back order) and every lane's retired state is
-  /// staged in canonical (block, thread) order. lane_finish then commits on
-  /// the calling thread in that order, so kernels whose lanes alias one
-  /// output slot (leaf parallelism: one tally for the whole grid) accumulate
-  /// floating-point sums in exactly the sequential order — bit-identical
-  /// results by construction, not by accident.
+  /// Runs the grid's blocks on the pool in contiguous chunks. Each chunk
+  /// runs `run(begin, end)` on a worker, which returns the chunk's staged
+  /// results, then waits until every earlier chunk has committed and calls
+  /// `commit(begin, staged)`. Commits thus happen one at a time in
+  /// canonical block order, and only the chunks in flight hold staged
+  /// state. Chunk c never waits on a later chunk, and the pool dequeues
+  /// chunk c - 1 before chunk c, so some chunk can always proceed. An
+  /// exception from either callback still releases the next chunk, and
+  /// parallel_for_ranges rethrows it on the caller.
+  template <typename Run, typename Commit>
+  static void run_blocks_committing_in_order(util::ThreadPool& pool,
+                                             std::size_t blocks, Run run,
+                                             Commit commit) {
+    std::atomic<std::size_t> committed{0};  // blocks committed so far
+    pool.parallel_for_ranges(blocks, [&](std::size_t begin, std::size_t end) {
+      std::exception_ptr failed;
+      std::optional<decltype(run(begin, end))> staged;
+      try {
+        staged.emplace(run(begin, end));
+      } catch (...) {
+        failed = std::current_exception();
+      }
+      for (std::size_t c = committed.load(std::memory_order_acquire);
+           c != begin; c = committed.load(std::memory_order_acquire)) {
+        committed.wait(c, std::memory_order_acquire);
+      }
+      try {
+        if (staged) commit(begin, *staged);
+      } catch (...) {
+        if (!failed) failed = std::current_exception();
+      }
+      committed.store(end, std::memory_order_release);
+      committed.notify_all();
+      if (failed) std::rethrow_exception(failed);
+    });
+  }
+
+  /// Threaded backend: every per-warp trace lands in its canonical slot
+  /// (block-major order, exactly the sequential push_back order), and
+  /// lane_finish commits in canonical (block, thread) order, chunk after
+  /// chunk, so kernels whose lanes alias one output slot (leaf parallelism:
+  /// one tally for the whole grid) accumulate floating-point sums in
+  /// exactly the sequential order — bit-identical results by construction,
+  /// not by accident.
   template <LaneKernel K>
   std::vector<WarpTrace> execute_blocks_parallel(const LaunchConfig& cfg,
                                                  K& kernel,
@@ -903,11 +957,11 @@ class VirtualGpu {
     const int warps = cfg.warps_per_block(dev_);
     const std::size_t tpb = static_cast<std::size_t>(cfg.threads_per_block);
     std::vector<WarpTrace> traces(static_cast<std::size_t>(cfg.total_warps(dev_)));
-    std::vector<LaneState> retired(static_cast<std::size_t>(cfg.blocks) * tpb);
 
-    pool.parallel_for_ranges(
-        static_cast<std::size_t>(cfg.blocks),
+    run_blocks_committing_in_order(
+        pool, static_cast<std::size_t>(cfg.blocks),
         [&](std::size_t begin, std::size_t end) {
+          std::vector<LaneState> retired((end - begin) * tpb);
           WarpScratch<LaneState> scratch(dev_.warp_size);
           for (std::size_t b = begin; b < end; ++b) {
             const int block = static_cast<int>(b);
@@ -917,67 +971,67 @@ class VirtualGpu {
               traces[b * static_cast<std::size_t>(warps) +
                      static_cast<std::size_t>(warp)] = trace;
               const std::size_t first =
-                  b * tpb + static_cast<std::size_t>(warp * dev_.warp_size);
+                  (b - begin) * tpb +
+                  static_cast<std::size_t>(warp * dev_.warp_size);
               for (int lane = 0; lane < trace.lanes; ++lane) {
                 retired[first + static_cast<std::size_t>(lane)] =
                     scratch.lanes[lane];
               }
             }
           }
+          return retired;
+        },
+        [&](std::size_t begin, const std::vector<LaneState>& retired) {
+          for (std::size_t i = 0; i < retired.size(); ++i) {
+            kernel.lane_finish(
+                retired[i],
+                make_lane_id(cfg, dev_, static_cast<int>(begin + i / tpb),
+                             static_cast<int>(i % tpb)));
+          }
         });
-
-    for (int block = 0; block < cfg.blocks; ++block) {
-      for (int thread = 0; thread < cfg.threads_per_block; ++thread) {
-        kernel.lane_finish(
-            retired[static_cast<std::size_t>(block) * tpb +
-                    static_cast<std::size_t>(thread)],
-            make_lane_id(cfg, dev_, block, thread));
-      }
-    }
     return traces;
   }
 
   /// Threaded backend for warp-batched kernels: workers run whole warps and
-  /// stage the retired WarpStates in canonical (block, warp) slots; the
-  /// calling thread then commits warp_finish in that order — lane-for-lane
-  /// the same (block, thread) commit order as every other backend, so
-  /// aliased output slots accumulate bit-identically. Verify failures
-  /// thrown on workers propagate: parallel_for_ranges rethrows the first
-  /// worker exception on the caller.
+  /// stage the retired WarpStates of their chunk; warp_finish then commits
+  /// them in canonical (block, warp) order — lane-for-lane the same
+  /// (block, thread) commit order as every other backend, so aliased output
+  /// slots accumulate bit-identically. Verify failures thrown on workers
+  /// propagate to the caller.
   template <WarpKernel K>
   std::vector<WarpTrace> execute_blocks_parallel_batched(
       const LaunchConfig& cfg, K& kernel, util::ThreadPool& pool) const {
-    const int warps = cfg.warps_per_block(dev_);
+    const std::size_t warps =
+        static_cast<std::size_t>(cfg.warps_per_block(dev_));
     const bool verify = exec_.warp_backend == WarpBackend::kVerify;
     std::vector<WarpTrace> traces(
         static_cast<std::size_t>(cfg.total_warps(dev_)));
-    std::vector<typename K::WarpState> staged(traces.size());
 
-    pool.parallel_for_ranges(
-        static_cast<std::size_t>(cfg.blocks),
+    run_blocks_committing_in_order(
+        pool, static_cast<std::size_t>(cfg.blocks),
         [&](std::size_t begin, std::size_t end) {
+          std::vector<typename K::WarpState> staged((end - begin) * warps);
           WarpScratch<typename K::LaneState> scratch(dev_.warp_size);
-          for (std::size_t b = begin; b < end; ++b) {
-            const int block = static_cast<int>(b);
-            for (int warp = 0; warp < warps; ++warp) {
-              const std::size_t slot = b * static_cast<std::size_t>(warps) +
-                                       static_cast<std::size_t>(warp);
-              traces[slot] =
-                  verify ? run_warp_verified(cfg, kernel, block, warp,
-                                             scratch, staged[slot])
-                         : run_warp_batched(cfg, kernel, block, warp,
-                                            staged[slot]);
-            }
+          for (std::size_t i = 0; i < staged.size(); ++i) {
+            const int block = static_cast<int>(begin + i / warps);
+            const int warp = static_cast<int>(i % warps);
+            traces[begin * warps + i] =
+                verify ? run_warp_verified(cfg, kernel, block, warp, scratch,
+                                           staged[i])
+                       : run_warp_batched(cfg, kernel, block, warp,
+                                          staged[i]);
+          }
+          return staged;
+        },
+        [&](std::size_t begin,
+            const std::vector<typename K::WarpState>& staged) {
+          for (std::size_t i = 0; i < staged.size(); ++i) {
+            kernel.warp_finish(
+                staged[i],
+                warp_span_for(cfg, static_cast<int>(begin + i / warps),
+                              static_cast<int>(i % warps)));
           }
         });
-
-    for (int block = 0; block < cfg.blocks; ++block) {
-      for (int warp = 0; warp < warps; ++warp) {
-        kernel.warp_finish(
-            staged[static_cast<std::size_t>(block * warps + warp)],
-            warp_span_for(cfg, block, warp));
-      }
-    }
     return traces;
   }
 

@@ -4,7 +4,7 @@
 // requested (the default experiment mode uses virtual-time equivalence
 // instead, see DESIGN.md §5.1, so results do not depend on host core count),
 // and by the multi-threaded VirtualGpu execution backend (DESIGN.md §9),
-// which partitions kernel grids and per-tree host phases across the pool.
+// which partitions kernel grids across the pool.
 #pragma once
 
 #include <condition_variable>

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <filesystem>
+#include <iterator>
 
 #include "reversi/reversi_game.hpp"
+#include "simt/vgpu.hpp"
 
 namespace gpu_mcts::cluster {
 namespace {
@@ -95,6 +98,28 @@ TEST(Distributed, DeterministicUnderReseed) {
   b.reseed(77);
   EXPECT_EQ(a.choose_move(ReversiGame::initial_state(), 0.01),
             b.choose_move(ReversiGame::initial_state(), 0.01));
+}
+
+/// Threads alive in this process (Linux: one /proc/self/task entry each).
+std::ptrdiff_t live_threads() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
+TEST(Distributed, RanksShareOneExecPool) {
+  // Ranks search one after another, each on a copy of one device; they
+  // must borrow a single pool, not start one per rank.
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads";
+  }
+  simt::VirtualGpu gpu;
+  simt::ExecutionPolicy policy;
+  policy.threads = 4;
+  gpu.set_execution_policy(policy);
+  const std::ptrdiff_t before = live_threads();
+  DistributedRootSearcher<ReversiGame> searcher(small(6), {}, gpu);
+  (void)searcher.choose_move(ReversiGame::initial_state(), 0.01);
+  EXPECT_LE(live_threads() - before, policy.threads);
 }
 
 TEST(Distributed, RequiresPositiveRanks) {

@@ -8,10 +8,12 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "engine/factory.hpp"
 #include "engine/spec.hpp"
+#include "mcts/transposition.hpp"
 #include "obs/trace.hpp"
 #include "reversi/reversi_game.hpp"
 
@@ -96,6 +98,59 @@ TEST(ExecBitExact, FaultedSearchIdenticalAcrossExecThreads) {
   spec.gpu_faults.kernel_launch_failure = 0.3;
   spec.fault_seed = 77;
   expect_bit_identical(run_search(spec, 1), run_search(spec, 4));
+}
+
+/// Consecutive moves of one game on one searcher, with the table stats
+/// after each move and the whole game's trace on the last move.
+struct GameCapture {
+  std::vector<SearchCapture> moves;
+  std::vector<mcts::TranspositionTable::Stats> table;
+};
+
+GameCapture run_game(const engine::SchemeSpec& spec, int exec_threads,
+                     int moves) {
+  GameCapture out;
+  obs::Tracer tracer;
+  auto searcher = engine::make_searcher<ReversiGame>(
+      spec.with_exec_threads(exec_threads));
+  searcher->set_tracer(&tracer);
+  auto state = ReversiGame::initial_state();
+  for (int m = 0; m < moves; ++m) {
+    SearchCapture move;
+    move.move = searcher->choose_move(state, 2 * kBudget);
+    move.stats = searcher->last_stats();
+    out.moves.push_back(std::move(move));
+    out.table.push_back(searcher->transposition()->stats());
+    state = ReversiGame::apply(state, out.moves.back().move);
+  }
+  out.moves.back().events = tracer.merged();
+  return out;
+}
+
+TEST(ExecBitExact, BlockWithTableIdenticalAcrossExecThreads) {
+  // All trees share the table and the root key, so their stores must land
+  // in tree order at every exec thread count. The table outlives each move,
+  // so a misordered store shows up in a later move's expansions.
+  const auto spec =
+      engine::SchemeSpec::parse("block:32x32+tt:1").with_seed(14);
+  constexpr int kMoves = 6;
+  const GameCapture sequential = run_game(spec, 1, kMoves);
+  ASSERT_GT(sequential.table.back().stores, 0u);
+  for (int rep = 0; rep < 3; ++rep) {
+    const GameCapture pooled = run_game(spec, 4, kMoves);
+    for (int m = 0; m < kMoves; ++m) {
+      SCOPED_TRACE(testing::Message() << "rep " << rep << " move " << m);
+      expect_bit_identical(sequential.moves[m], pooled.moves[m]);
+      const auto& a = sequential.table[m];
+      const auto& b = pooled.table[m];
+      EXPECT_EQ(a.probes, b.probes);
+      EXPECT_EQ(a.hits, b.hits);
+      EXPECT_EQ(a.stores, b.stores);
+      EXPECT_EQ(a.inserts, b.inserts);
+      EXPECT_EQ(a.evictions, b.evictions);
+      EXPECT_EQ(a.dropped, b.dropped);
+    }
+  }
 }
 
 /// Mean of the tracer's per-round "divergence" counter samples.

@@ -24,6 +24,7 @@
 #include "engine/factory.hpp"
 #include "engine/spec.hpp"
 #include "mcts/budget.hpp"
+#include "mcts/transposition.hpp"
 #include "obs/trace.hpp"
 #include "reversi/reversi_game.hpp"
 #include "serve/service.hpp"
@@ -243,9 +244,10 @@ TEST(ServeBitIdentity, TreeSaturationStopMatchesStandalone) {
 
 // ---- determinism across exec thread counts ---------------------------------
 
-std::string run_scenario(int exec_threads) {
+std::string run_scenario(int exec_threads, int transposition_mb = 0) {
   ServiceOptions options = options_for(32, /*grid_blocks=*/16);
   options.exec.threads = exec_threads;
+  options.transposition_mb = transposition_mb;
   SearchService<ReversiGame> service(options);
   const auto state = ReversiGame::initial_state();
   const mcts::SearchBudget budget = mcts::SearchBudget::from_seconds(0.02);
@@ -272,6 +274,13 @@ std::string run_scenario(int exec_threads) {
     out += " c=" + std::to_string(double_bits(r->completion_virtual_seconds));
     out += "\n";
   }
+  if (const mcts::TranspositionTable* table = service.transposition()) {
+    const mcts::TranspositionTable::Stats t = table->stats();
+    out += "tt stores=" + std::to_string(t.stores) +
+           " inserts=" + std::to_string(t.inserts) +
+           " evictions=" + std::to_string(t.evictions) +
+           " dropped=" + std::to_string(t.dropped) + "\n";
+  }
   for (const SessionId id : sessions) service.close_session(id);
   return out;
 }
@@ -281,6 +290,18 @@ TEST(ServeDeterminism, FixedArrivalScheduleInvariantAcrossExecThreads) {
   EXPECT_FALSE(once.empty());
   EXPECT_EQ(run_scenario(1), once);  // rerun-stable
   EXPECT_EQ(run_scenario(4), once);  // exec-thread-invariant
+}
+
+TEST(ServeDeterminism, SharedTableInvariantAcrossExecThreads) {
+  // Every session's trees share the table and the root key, and which
+  // entries survive an insert depends on the stores before it, so the
+  // table must be fed in the same order at every exec thread count.
+  const std::string once = run_scenario(1, /*transposition_mb=*/1);
+  ASSERT_NE(once.find("tt stores="), std::string::npos);
+  for (int rep = 0; rep < 4; ++rep) {
+    SCOPED_TRACE(rep);
+    EXPECT_EQ(run_scenario(4, /*transposition_mb=*/1), once);
+  }
 }
 
 // ---- scheduler ordering ----------------------------------------------------

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,41 @@ TEST(ExecBackend, TraceEventsIdenticalAcrossThreadCounts) {
   }
 }
 
+/// Counts lanes and throws from one block's first step.
+struct ThrowingKernel {
+  struct LaneState {
+    int block = 0;
+  };
+  int throwing_block = 0;
+  int finished = 0;
+
+  [[nodiscard]] LaneState make_lane(const LaneId& id) const {
+    return {id.block};
+  }
+  [[nodiscard]] bool lane_step(LaneState& lane) const {
+    if (lane.block == throwing_block) throw std::runtime_error("lane fault");
+    return false;
+  }
+  void lane_finish(const LaneState&, const LaneId&) { finished += 1; }
+};
+
+TEST(ExecBackend, WorkerExceptionReachesCallerWithoutHanging) {
+  // Chunks commit in block order, each after the one before it; a chunk
+  // that throws must still let the later chunks commit and finish.
+  VirtualGpu gpu;
+  gpu.set_execution_policy(ExecutionPolicy{.threads = 4});
+  const LaunchConfig cfg{.blocks = 32, .threads_per_block = 32};
+  util::VirtualClock clock(gpu.host().clock_hz);
+  for (const int block : {0, 13, 31}) {
+    SCOPED_TRACE(block);
+    ThrowingKernel kernel{.throwing_block = block};
+    EXPECT_THROW((void)gpu.launch(cfg, kernel, clock), std::runtime_error);
+  }
+  ThrowingKernel healthy{.throwing_block = -1};
+  (void)gpu.launch(cfg, healthy, clock);  // the pool still runs launches
+  EXPECT_EQ(healthy.finished, cfg.blocks * cfg.threads_per_block);
+}
+
 TEST(ExecBackend, PolicyValidatesAndReleasesPool) {
   // The default policy tracks GPU_MCTS_EXEC_THREADS (CI's TSan job runs
   // this suite with it set), so pin an explicit policy before asserting.
@@ -153,8 +189,11 @@ TEST(ExecBackend, PolicyFromEnvParsesAndClamps) {
   const char* saved = std::getenv("GPU_MCTS_EXEC_THREADS");
   const std::string saved_value = saved != nullptr ? saved : "";
 
+  // Unset: every CPU the process may run on.
   ::unsetenv("GPU_MCTS_EXEC_THREADS");
-  EXPECT_EQ(ExecutionPolicy::from_env().threads, 1);
+  EXPECT_EQ(ExecutionPolicy::from_env().threads, host_cpu_count());
+  EXPECT_GE(host_cpu_count(), 1);
+  EXPECT_LE(host_cpu_count(), 1024);
   ::setenv("GPU_MCTS_EXEC_THREADS", "6", 1);
   EXPECT_EQ(ExecutionPolicy::from_env().threads, 6);
   ::setenv("GPU_MCTS_EXEC_THREADS", "0", 1);
