@@ -2,9 +2,11 @@
 //
 // Square numbering: bit i = file + 8*rank, a1 = 0, h1 = 7, a8 = 56, h8 = 63.
 // Direction shifts mask off the wrapping file so east/west rays never leak
-// across board edges. Move generation uses the classic Kogge-Stone flood:
-// propagate from own discs through opponent discs, then step once more into
-// empty squares.
+// across board edges. Move generation uses a dumb7fill-style occluded flood:
+// propagate from own discs through opponent discs one square per step, six
+// steps per direction (a ray holds at most six opponent discs), then step
+// once more into empty squares. (A Kogge-Stone flood would instead shift by
+// 1, 2 and 4 squares in doubling steps; this code does not.)
 //
 // The scalar primitives are constexpr and branch-light: the playout ply
 // (reversi_game.hpp) inlines them, scalar and batched.
@@ -122,7 +124,7 @@ constexpr int pop_lsb(Bitboard& b) noexcept {
 // ---------------------------------------------------------------------------
 // Structure-of-arrays batch primitives (DESIGN.md §17).
 //
-// The same Kogge-Stone floods as above, but over parallel arrays of
+// The same six-step floods as above, but over parallel arrays of
 // positions: direction-outer, lane-inner loops whose bodies are pure bitwise
 // dataflow, so the compiler autovectorizes the lane loop (8 u64 lanes per
 // AVX-512 register, 4 per AVX2). The scalar bracket branch in

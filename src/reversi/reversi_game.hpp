@@ -18,7 +18,7 @@ namespace gpu_mcts::reversi {
 // Both are compiled out-of-line in bitboard_batch.cpp, which builds one
 // shared body three times (AVX-512, AVX2, baseline x86-64) and binds each
 // entry point to the best variant the host runs once, at load time. Every
-// variant holds the whole ply: both Kogge-Stone floods, a hardware popcnt,
+// variant holds the whole ply: both six-step floods, a hardware popcnt,
 // the RNG draw, the k-th-move select and the apply. Only the AVX-512
 // variant selects with pdep; the others clear the k lowest bits one by one,
 // because Zen 1/2 run pdep in microcode and have no AVX-512 anyway. The

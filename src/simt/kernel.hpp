@@ -23,13 +23,17 @@ namespace gpu_mcts::simt {
 ///  * lane_finish(state,id)— commit the lane's result to output buffers.
 ///
 /// Threaded execution contract (simt::ExecutionPolicy with threads > 1):
-/// make_lane and lane_step may run concurrently for lanes of *different
-/// blocks* and must therefore not mutate kernel-shared state — they should
-/// read shared inputs and write only the lane's own state, exactly as a real
-/// GPU kernel body would. lane_finish is exempt: the executor commits it one
-/// call at a time, in canonical (block, thread) order (on a pool worker when
-/// threaded, ordered by an acquire/release cursor), so shared output
-/// accumulation stays deterministic.
+///  * make_lane and lane_step may run concurrently for lanes of *different
+///    blocks* and must therefore not mutate kernel-shared state — they
+///    should read shared inputs and write only the lane's own state, exactly
+///    as a real GPU kernel body would.
+///  * lane_finish (and warp_finish) calls for lanes of different blocks may
+///    also run concurrently, and blocks commit in no fixed order.
+///  * One thread finishes all of a block's lanes, in lane order, so a slot
+///    only that block writes needs no synchronization.
+///  * A kernel whose output slots alias across blocks (leaf parallelism:
+///    one tally for the whole grid) must commit into them atomically and in
+///    a way whose result does not depend on order, or it loses determinism.
 template <typename K>
 concept LaneKernel = requires(K k, typename K::LaneState& lane,
                               const LaneId& id) {
@@ -67,9 +71,9 @@ struct WarpSpan {
 ///  * warp_step(state)         — run one lockstep step for every active lane;
 ///                               returns the mask of lanes active at entry
 ///                               (0 = the warp has retired and no step ran).
-///  * warp_finish(state, span) — commit every lane, in lane order, with
-///                               accumulation bit-identical to lane_finish
-///                               over the scalar path's retired lanes.
+///  * warp_finish(state, span) — commit every lane, with results
+///                               bit-identical to lane_finish over the
+///                               scalar path's retired lanes.
 ///  * lane_state_of(state, i)  — lane i's equivalent scalar LaneState (used
 ///                               by the verify backend's comparison).
 ///

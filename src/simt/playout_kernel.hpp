@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -98,14 +99,40 @@ class PlayoutKernel {
   }
 
   void lane_finish(const LaneState& lane, const LaneId& id) {
-    const std::size_t slot =
-        results_.size() == 1 ? 0 : static_cast<std::size_t>(id.block);
-    BlockResult& r = results_[slot];
-    const double v = static_cast<double>(lane.value_first);
-    r.value_first += v;
-    r.value_sq_first += v * v;
-    r.simulations += 1;
-    r.total_plies += static_cast<std::uint64_t>(lane.plies);
+    BlockResult sum;
+    tally(sum, lane.value_first, lane.plies);
+    commit(id.block, sum);
+  }
+
+ protected:
+  /// Adds one retired lane to a local tally.
+  static void tally(BlockResult& sum, float value_first,
+                    std::int32_t plies) noexcept {
+    const double v = static_cast<double>(value_first);
+    sum.value_first += v;
+    sum.value_sq_first += v * v;
+    sum.simulations += 1;
+    sum.total_plies += static_cast<std::uint64_t>(plies);
+  }
+
+  /// Adds a tally into `block`'s result slot. Blocks finish concurrently
+  /// and in no fixed order (kernel.hpp), and under leaf parallelism every
+  /// block shares one slot, so each field is added atomically. The order
+  /// cannot show in the result: every playout value is 0, 0.5 or 1 and
+  /// every square 0, 0.25 or 1, so each partial sum is a multiple of 1/4
+  /// below 2^51 and exact in a double — the slot ends with the same bits
+  /// whichever block commits first.
+  void commit(std::int32_t block, const BlockResult& sum) noexcept {
+    BlockResult& r =
+        results_[results_.size() == 1 ? 0 : static_cast<std::size_t>(block)];
+    std::atomic_ref(r.value_first)
+        .fetch_add(sum.value_first, std::memory_order_relaxed);
+    std::atomic_ref(r.value_sq_first)
+        .fetch_add(sum.value_sq_first, std::memory_order_relaxed);
+    std::atomic_ref(r.simulations)
+        .fetch_add(sum.simulations, std::memory_order_relaxed);
+    std::atomic_ref(r.total_plies)
+        .fetch_add(sum.total_plies, std::memory_order_relaxed);
   }
 
  private:
@@ -127,7 +154,7 @@ concept BatchedPlayoutGame =
 /// lanes of a warp through the game's SoA batched step. Bit-identical to
 /// the scalar path by construction: lanes are seeded via make_lane, each
 /// lane draws from its own stream in the scalar order, and warp_finish
-/// commits through lane_finish in lane order.
+/// commits the same exact tally lane_finish would.
 template <game::Game G>
   requires BatchedPlayoutGame<G>
 class WarpPlayoutKernel : public PlayoutKernel<G> {
@@ -182,13 +209,15 @@ class WarpPlayoutKernel : public PlayoutKernel<G> {
     return entry;
   }
 
-  /// Commits per lane in lane order: the same doubles accumulated in the
-  /// same order as the scalar path's lane_finish loop, so aliased result
-  /// slots (leaf parallelism) sum bit-identically.
+  /// Sums the warp's lanes into a local tally, then commits it once: the
+  /// same exact sums the scalar path's lane_finish loop reaches (see
+  /// commit), with four atomic adds per warp instead of four per lane.
   void warp_finish(const WarpState& w, const WarpSpan& span) {
+    BlockResult sum;
     for (int i = 0; i < w.lane_count; ++i) {
-      this->lane_finish(lane_state_of(w, i), lane_id_at(span, i));
+      Base::tally(sum, w.value_first[i], w.plies[i]);
     }
+    this->commit(span.first.block, sum);
   }
 
   [[nodiscard]] LaneState lane_state_of(const WarpState& w, int lane) const {

@@ -16,18 +16,21 @@
 // wait order (start = max(enqueue, previous completion)), and per-stream
 // "gpu.s<k>" trace tracks make the overlap visible in Chrome traces.
 //
-// Execution backend (DESIGN.md §9): blocks are independent by construction
-// (per-lane RNG streams, per-block result slots), so the grid can be
-// partitioned by block across a worker pool. Each worker stages its chunk's
-// final lane states and commits them once every earlier chunk has, so
-// lane_finish() runs in canonical (block, thread) order, and per-warp traces
-// land in canonical slots — results, divergence statistics, and modeled
-// device cycles are bit-identical to the sequential path. The default thread
-// count is the number of CPUs the process may run on; threads == 1 runs the
-// original single-thread loop.
+// Execution backend (DESIGN.md §9): blocks are independent, as on a real
+// GPU, so pool workers claim blocks one at a time from an atomic cursor,
+// run each block's warps, write the warps' traces into canonical slots, and
+// commit the block's lanes (warp_finish / lane_finish) right away, with no
+// staging and no wait on other blocks. Modeled device cycles and divergence
+// statistics are folded from the slots in canonical order, so they are
+// bit-identical at any thread count; kernel outputs are too, because the
+// kernel contract (kernel.hpp) makes a commit into a slot shared by several
+// blocks independent of order. The default thread count is the number of
+// CPUs the process may run on; threads == 1 runs the same block loop on the
+// calling thread.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -35,13 +38,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sched.h>
 #include <string>
 #include <string_view>
@@ -152,13 +153,12 @@ enum class WarpBackend : std::uint8_t {
 }
 
 /// How the VirtualGpu executes a grid on the host. `threads == 1` runs
-/// blocks sequentially on the calling thread; `threads > 1` partitions the
-/// grid by block across that many pool workers (from_env() defaults to
-/// every host CPU). Kernel outputs, warp traces, and device cycles are
-/// bit-identical either way (the point of the backend is wall-clock speed,
-/// not modeled behaviour), which requires kernels' make_lane/lane_step to
-/// be safe to call concurrently for lanes of different blocks — true of
-/// every in-tree kernel, whose lane steps touch only the lane's own state.
+/// blocks sequentially on the calling thread; `threads > 1` lets up to that
+/// many pool workers claim blocks (from_env() defaults to every host CPU).
+/// Kernel outputs, warp traces, and device cycles are bit-identical either
+/// way (the point of the backend is wall-clock speed, not modeled
+/// behaviour), which requires kernels to follow the threaded contract in
+/// kernel.hpp — true of every in-tree kernel.
 struct ExecutionPolicy {
   int threads = 1;
 
@@ -186,8 +186,16 @@ struct ExecutionPolicy {
 
 class VirtualGpu {
  public:
+  /// Widest warp a device may declare: each worker keeps one warp's lane
+  /// scratch on its stack, so execution allocates nothing (real devices
+  /// run 32 or 64 lanes).
+  static constexpr int kMaxWarpSize = 64;
+
   VirtualGpu(DeviceProperties dev, HostProperties host, CostModel cost)
-      : dev_(dev), host_(host), cost_(cost) {}
+      : dev_(dev), host_(host), cost_(cost) {
+    util::expects(dev.warp_size >= 1 && dev.warp_size <= kMaxWarpSize,
+                  "warp size within [1, kMaxWarpSize]");
+  }
 
   VirtualGpu() : VirtualGpu(tesla_c2050(), xeon_x5670(), default_cost_model()) {}
 
@@ -318,8 +326,7 @@ class VirtualGpu {
     }
     validate(cfg, dev_);
     StreamExecution exec = execute_traced(
-        cfg, kernel,
-        exec_.threads > 1 && cfg.blocks > 1 ? worker_pool() : nullptr);
+        cfg, kernel, cfg.blocks > 1 ? worker_pool() : nullptr);
     if (tracer_ != nullptr) {
       observe_warp_batch<K>(cfg);
       observe_launch_wall(exec.wall_us);
@@ -660,26 +667,34 @@ class VirtualGpu {
     }
   }
 
-  /// Per-worker scratch for one warp's lockstep execution.
-  template <typename LaneState>
+  /// A warp kernel's batched warp state; an empty stand-in for plain lane
+  /// kernels, which never run batched.
+  template <typename K>
+  struct WarpStateOf {
+    struct type {};
+  };
+  template <WarpKernel K>
+  struct WarpStateOf<K> {
+    using type = typename K::WarpState;
+  };
+
+  /// One worker's scratch for executing warps, on its stack and reused for
+  /// every block it claims.
+  template <LaneKernel K>
   struct WarpScratch {
-    explicit WarpScratch(int warp_size)
-        : lanes(static_cast<std::size_t>(warp_size)),
-          ids(static_cast<std::size_t>(warp_size)),
-          active(static_cast<std::size_t>(warp_size)) {}
-    std::vector<LaneState> lanes;
-    std::vector<LaneId> ids;
-    std::vector<bool> active;
+    std::array<typename K::LaneState, kMaxWarpSize> lanes;
+    std::array<LaneId, kMaxWarpSize> ids;
+    std::array<bool, kMaxWarpSize> active;
+    typename WarpStateOf<K>::type warp;
   };
 
   /// Runs one warp in lockstep: one pass over the warp = one warp-step; the
   /// warp retires when no lane remains active (divergent lanes idle, costing
-  /// slots). Leaves the retired lane states in `scratch.lanes` — the caller
-  /// decides when to commit them through lane_finish. Shared by both
-  /// execution backends so their per-warp behaviour cannot drift.
+  /// slots). Leaves the retired lane states in `scratch.lanes` for the
+  /// caller to commit through lane_finish.
   template <LaneKernel K>
   WarpTrace run_warp(const LaunchConfig& cfg, K& kernel, int block, int warp,
-                     WarpScratch<typename K::LaneState>& scratch) const {
+                     WarpScratch<K>& scratch) const {
     const int first_thread = warp * dev_.warp_size;
     const int lanes_here =
         std::min(dev_.warp_size, cfg.threads_per_block - first_thread);
@@ -787,15 +802,14 @@ class VirtualGpu {
   /// Verify backend: run the warp both ways and assert bitwise equality —
   /// the trace (hence device cycles and divergence) and, when the lane
   /// state is equality-comparable, every retired lane. The batched state
-  /// is handed back for the commit; the lane comparison is what proves
-  /// warp_finish and the scalar lane_finish loop would accumulate the same
-  /// values. Violations throw/abort through util::expects.
+  /// is left in `scratch.warp` for the commit; the lane comparison is what
+  /// proves warp_finish and the scalar lane_finish loop would commit the
+  /// same values. Violations throw/abort through util::expects.
   template <WarpKernel K>
   WarpTrace run_warp_verified(const LaunchConfig& cfg, K& kernel, int block,
-                              int warp,
-                              WarpScratch<typename K::LaneState>& scratch,
-                              typename K::WarpState& state) const {
-    const WarpTrace batched = run_warp_batched(cfg, kernel, block, warp, state);
+                              int warp, WarpScratch<K>& scratch) const {
+    const WarpTrace batched =
+        run_warp_batched(cfg, kernel, block, warp, scratch.warp);
     const WarpTrace scalar = run_warp(cfg, kernel, block, warp, scratch);
     util::expects(batched.steps == scalar.steps &&
                       batched.active_lane_steps == scalar.active_lane_steps &&
@@ -804,22 +818,19 @@ class VirtualGpu {
     if constexpr (std::equality_comparable<typename K::LaneState>) {
       for (int lane = 0; lane < scalar.lanes; ++lane) {
         util::expects(
-            kernel.lane_state_of(state, lane) == scratch.lanes[lane],
+            kernel.lane_state_of(scratch.warp, lane) == scratch.lanes[lane],
             "warp backend verify: batched lane state != scalar lane state");
       }
     }
     return batched;
   }
 
-  /// Runs every warp of the grid and derives timing from the traces,
-  /// dispatching to the backend the execution policy selects.
+  /// Runs every warp of the grid and derives timing from the traces.
   template <LaneKernel K>
   LaunchResult execute(const LaunchConfig& cfg, K& kernel) {
     validate(cfg, dev_);
     const std::vector<WarpTrace> traces =
-        exec_.threads > 1 && cfg.blocks > 1
-            ? execute_blocks_parallel(cfg, kernel, *worker_pool())
-            : execute_blocks_sequential(cfg, kernel);
+        execute_blocks(cfg, kernel, cfg.blocks > 1 ? worker_pool() : nullptr);
     LaunchResult result;
     result.device_cycles = device_cycles_for(traces, cfg, dev_, cost_);
     result.stats = aggregate_stats(traces, dev_);
@@ -860,179 +871,67 @@ class VirtualGpu {
         .observe(wall_us);
   }
 
-  /// Sequential backend: block-major, warp within; commits each warp as it
-  /// retires (warp_finish when batched, the lane_finish loop when scalar —
-  /// identical accumulation order either way).
+  /// Runs every block of the grid and returns the warps' traces in
+  /// canonical block-major slots (traces[block * warps_per_block + warp]).
+  /// Without a pool the calling thread runs the blocks in order; with one,
+  /// min(workers, blocks) pool tasks each claim the next block from an
+  /// atomic cursor until none is left. Whoever runs a block also commits
+  /// it (run_block), so nothing is staged and no worker waits on another.
+  /// A worker that throws stops claiming; the others drain the cursor, and
+  /// the pool rethrows the first exception on the caller.
   template <LaneKernel K>
-  std::vector<WarpTrace> execute_blocks_sequential(const LaunchConfig& cfg,
-                                                   K& kernel) const {
-    std::vector<WarpTrace> traces;
-    traces.reserve(static_cast<std::size_t>(cfg.total_warps(dev_)));
-    const int warps = cfg.warps_per_block(dev_);
-    if constexpr (WarpKernel<K>) {
-      if (warp_batched_for<K>(cfg)) {
-        const bool verify = exec_.warp_backend == WarpBackend::kVerify;
-        WarpScratch<typename K::LaneState> scratch(dev_.warp_size);
-        typename K::WarpState state;
-        for (int block = 0; block < cfg.blocks; ++block) {
-          for (int warp = 0; warp < warps; ++warp) {
-            traces.push_back(
-                verify
-                    ? run_warp_verified(cfg, kernel, block, warp, scratch,
-                                        state)
-                    : run_warp_batched(cfg, kernel, block, warp, state));
-            kernel.warp_finish(state, warp_span_for(cfg, block, warp));
-          }
-        }
-        return traces;
-      }
-    }
-    WarpScratch<typename K::LaneState> scratch(dev_.warp_size);
-    for (int block = 0; block < cfg.blocks; ++block) {
-      for (int warp = 0; warp < warps; ++warp) {
-        traces.push_back(run_warp(cfg, kernel, block, warp, scratch));
-        const int lanes_here = traces.back().lanes;
-        for (int lane = 0; lane < lanes_here; ++lane) {
-          kernel.lane_finish(scratch.lanes[lane], scratch.ids[lane]);
-        }
-      }
-    }
-    return traces;
-  }
-
-  /// Runs the grid's blocks on the pool in contiguous chunks. Each chunk
-  /// runs `run(begin, end)` on a worker, which returns the chunk's staged
-  /// results, then waits until every earlier chunk has committed and calls
-  /// `commit(begin, staged)`. Commits thus happen one at a time in
-  /// canonical block order, and only the chunks in flight hold staged
-  /// state. Chunk c never waits on a later chunk, and the pool dequeues
-  /// chunk c - 1 before chunk c, so some chunk can always proceed. An
-  /// exception from either callback still releases the next chunk, and
-  /// parallel_for_ranges rethrows it on the caller.
-  template <typename Run, typename Commit>
-  static void run_blocks_committing_in_order(util::ThreadPool& pool,
-                                             std::size_t blocks, Run run,
-                                             Commit commit) {
-    std::atomic<std::size_t> committed{0};  // blocks committed so far
-    pool.parallel_for_ranges(blocks, [&](std::size_t begin, std::size_t end) {
-      std::exception_ptr failed;
-      std::optional<decltype(run(begin, end))> staged;
-      try {
-        staged.emplace(run(begin, end));
-      } catch (...) {
-        failed = std::current_exception();
-      }
-      for (std::size_t c = committed.load(std::memory_order_acquire);
-           c != begin; c = committed.load(std::memory_order_acquire)) {
-        committed.wait(c, std::memory_order_acquire);
-      }
-      try {
-        if (staged) commit(begin, *staged);
-      } catch (...) {
-        if (!failed) failed = std::current_exception();
-      }
-      committed.store(end, std::memory_order_release);
-      committed.notify_all();
-      if (failed) std::rethrow_exception(failed);
-    });
-  }
-
-  /// Threaded backend: every per-warp trace lands in its canonical slot
-  /// (block-major order, exactly the sequential push_back order), and
-  /// lane_finish commits in canonical (block, thread) order, chunk after
-  /// chunk, so kernels whose lanes alias one output slot (leaf parallelism:
-  /// one tally for the whole grid) accumulate floating-point sums in
-  /// exactly the sequential order — bit-identical results by construction,
-  /// not by accident.
-  template <LaneKernel K>
-  std::vector<WarpTrace> execute_blocks_parallel(const LaunchConfig& cfg,
-                                                 K& kernel,
-                                                 util::ThreadPool& pool) const {
-    if constexpr (WarpKernel<K>) {
-      if (warp_batched_for<K>(cfg)) {
-        return execute_blocks_parallel_batched(cfg, kernel, pool);
-      }
-    }
-    using LaneState = typename K::LaneState;
-    const int warps = cfg.warps_per_block(dev_);
-    const std::size_t tpb = static_cast<std::size_t>(cfg.threads_per_block);
-    std::vector<WarpTrace> traces(static_cast<std::size_t>(cfg.total_warps(dev_)));
-
-    run_blocks_committing_in_order(
-        pool, static_cast<std::size_t>(cfg.blocks),
-        [&](std::size_t begin, std::size_t end) {
-          std::vector<LaneState> retired((end - begin) * tpb);
-          WarpScratch<LaneState> scratch(dev_.warp_size);
-          for (std::size_t b = begin; b < end; ++b) {
-            const int block = static_cast<int>(b);
-            for (int warp = 0; warp < warps; ++warp) {
-              const WarpTrace trace =
-                  run_warp(cfg, kernel, block, warp, scratch);
-              traces[b * static_cast<std::size_t>(warps) +
-                     static_cast<std::size_t>(warp)] = trace;
-              const std::size_t first =
-                  (b - begin) * tpb +
-                  static_cast<std::size_t>(warp * dev_.warp_size);
-              for (int lane = 0; lane < trace.lanes; ++lane) {
-                retired[first + static_cast<std::size_t>(lane)] =
-                    scratch.lanes[lane];
-              }
-            }
-          }
-          return retired;
-        },
-        [&](std::size_t begin, const std::vector<LaneState>& retired) {
-          for (std::size_t i = 0; i < retired.size(); ++i) {
-            kernel.lane_finish(
-                retired[i],
-                make_lane_id(cfg, dev_, static_cast<int>(begin + i / tpb),
-                             static_cast<int>(i % tpb)));
-          }
-        });
-    return traces;
-  }
-
-  /// Threaded backend for warp-batched kernels: workers run whole warps and
-  /// stage the retired WarpStates of their chunk; warp_finish then commits
-  /// them in canonical (block, warp) order — lane-for-lane the same
-  /// (block, thread) commit order as every other backend, so aliased output
-  /// slots accumulate bit-identically. Verify failures thrown on workers
-  /// propagate to the caller.
-  template <WarpKernel K>
-  std::vector<WarpTrace> execute_blocks_parallel_batched(
-      const LaunchConfig& cfg, K& kernel, util::ThreadPool& pool) const {
-    const std::size_t warps =
-        static_cast<std::size_t>(cfg.warps_per_block(dev_));
-    const bool verify = exec_.warp_backend == WarpBackend::kVerify;
+  std::vector<WarpTrace> execute_blocks(const LaunchConfig& cfg, K& kernel,
+                                        util::ThreadPool* pool) const {
+    const auto warps = static_cast<std::size_t>(cfg.warps_per_block(dev_));
     std::vector<WarpTrace> traces(
         static_cast<std::size_t>(cfg.total_warps(dev_)));
-
-    run_blocks_committing_in_order(
-        pool, static_cast<std::size_t>(cfg.blocks),
-        [&](std::size_t begin, std::size_t end) {
-          std::vector<typename K::WarpState> staged((end - begin) * warps);
-          WarpScratch<typename K::LaneState> scratch(dev_.warp_size);
-          for (std::size_t i = 0; i < staged.size(); ++i) {
-            const int block = static_cast<int>(begin + i / warps);
-            const int warp = static_cast<int>(i % warps);
-            traces[begin * warps + i] =
-                verify ? run_warp_verified(cfg, kernel, block, warp, scratch,
-                                           staged[i])
-                       : run_warp_batched(cfg, kernel, block, warp,
-                                          staged[i]);
-          }
-          return staged;
-        },
-        [&](std::size_t begin,
-            const std::vector<typename K::WarpState>& staged) {
-          for (std::size_t i = 0; i < staged.size(); ++i) {
-            kernel.warp_finish(
-                staged[i],
-                warp_span_for(cfg, static_cast<int>(begin + i / warps),
-                              static_cast<int>(i % warps)));
-          }
-        });
+    std::atomic<int> next_block{0};
+    const auto claim_blocks = [&] {
+      WarpScratch<K> scratch;
+      for (int block = next_block.fetch_add(1, std::memory_order_relaxed);
+           block < cfg.blocks;
+           block = next_block.fetch_add(1, std::memory_order_relaxed)) {
+        run_block(cfg, kernel, block,
+                  traces.data() + static_cast<std::size_t>(block) * warps,
+                  scratch);
+      }
+    };
+    const std::size_t workers =
+        pool == nullptr ? 1
+                        : std::min(pool->worker_count(),
+                                   static_cast<std::size_t>(cfg.blocks));
+    if (workers <= 1) {
+      claim_blocks();
+    } else {
+      pool->parallel_for(workers, [&](std::size_t) { claim_blocks(); });
+    }
     return traces;
+  }
+
+  /// Runs one block's warps in order into `traces[0, warps_per_block)` and
+  /// commits each warp as it retires: warp_finish when batched, else
+  /// lane_finish lane by lane. All of a block's commits thus come from one
+  /// thread in lane order, as kernel.hpp's threaded contract promises.
+  template <LaneKernel K>
+  void run_block(const LaunchConfig& cfg, K& kernel, int block,
+                 WarpTrace* traces, WarpScratch<K>& scratch) const {
+    const int warps = cfg.warps_per_block(dev_);
+    for (int warp = 0; warp < warps; ++warp) {
+      if constexpr (WarpKernel<K>) {
+        if (warp_batched_for<K>(cfg)) {
+          traces[warp] =
+              exec_.warp_backend == WarpBackend::kVerify
+                  ? run_warp_verified(cfg, kernel, block, warp, scratch)
+                  : run_warp_batched(cfg, kernel, block, warp, scratch.warp);
+          kernel.warp_finish(scratch.warp, warp_span_for(cfg, block, warp));
+          continue;
+        }
+      }
+      traces[warp] = run_warp(cfg, kernel, block, warp, scratch);
+      for (int lane = 0; lane < traces[warp].lanes; ++lane) {
+        kernel.lane_finish(scratch.lanes[lane], scratch.ids[lane]);
+      }
+    }
   }
 
   /// What a stream worker hands back for one launch: the kernel's launch
@@ -1190,8 +1089,7 @@ class VirtualGpu {
     const bool timed = tracer_ != nullptr;
     const auto t0 = timed ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
-    out.traces = pool != nullptr ? execute_blocks_parallel(cfg, kernel, *pool)
-                                 : execute_blocks_sequential(cfg, kernel);
+    out.traces = execute_blocks(cfg, kernel, pool);
     if (timed) {
       out.wall_us = std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - t0)

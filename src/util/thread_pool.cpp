@@ -49,20 +49,6 @@ void ThreadPool::parallel_for(std::size_t n,
   wait_all(futures);
 }
 
-void ThreadPool::parallel_for_ranges(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t chunks = std::min(n, worker_count() * 4);
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = n * c / chunks;
-    const std::size_t end = n * (c + 1) / chunks;
-    futures.push_back(submit([&fn, begin, end] { fn(begin, end); }));
-  }
-  wait_all(futures);
-}
-
 void ThreadPool::wait_all(std::vector<std::future<void>>& futures) {
   // Drain every future before rethrowing: abandoning the remaining futures
   // on the first exception would let still-queued tasks run after the

@@ -1,10 +1,8 @@
 // A small fixed-size thread pool.
 //
-// Used by the root-parallel CPU searcher when *real* host parallelism is
-// requested (the default experiment mode uses virtual-time equivalence
-// instead, see DESIGN.md §5.1, so results do not depend on host core count),
-// and by the multi-threaded VirtualGpu execution backend (DESIGN.md §9),
-// which partitions kernel grids across the pool.
+// Used by the multi-threaded VirtualGpu execution backend (DESIGN.md §9),
+// whose workers claim kernel blocks from the pool, and by the shared-tree
+// searcher (`shared:W`), which runs its W searching threads on one.
 #pragma once
 
 #include <condition_variable>
@@ -32,15 +30,6 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Runs fn(begin, end) over a deterministic chunked partition of [0, n)
-  /// and waits for completion. Chunks are contiguous ranges (at most
-  /// 4 * worker_count() of them, for load balance without per-item task
-  /// overhead); the partition depends only on n and the worker count, never
-  /// on scheduling, so callers can rely on it for reproducible decomposition.
-  void parallel_for_ranges(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t)>& fn);
 
   [[nodiscard]] std::size_t worker_count() const noexcept {
     return threads_.size();

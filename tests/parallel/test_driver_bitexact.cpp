@@ -158,6 +158,9 @@ struct GoldenCase {
 // = 1; the seed implementations were exec-thread-invariant, so the same
 // goldens pin exec_threads = 4 as well. Aliased leaf slots are covered by
 // every leaf case (the leaf kernel folds all lanes into one result slot).
+// block_8x32_tt is younger than the seed: it was captured at exec_threads
+// = 1 from the executor that committed blocks in canonical order, and pins
+// the shared transposition table's store order across thread counts.
 std::vector<GoldenCase> golden_cases() {
   using engine::SchemeSpec;
   return {
@@ -209,6 +212,9 @@ std::vector<GoldenCase> golden_cases() {
        faulted(SchemeSpec::block_gpu(8, 32).with_seed(115).with_pipeline(),
                0.0, 0.4, 76),
        "m=19 s=1412 r=6 gr=6 ci=4 gs=1408 tn=85 md=2 vs=3faa52000c399bf9 dw=3fa078920de4e668 f=16/16 th=152e2124e93fb955 tk=4"},
+      {"block_8x32_tt",
+       SchemeSpec::block_gpu(8, 32).with_seed(120).with_tt(1),
+       "m=44 s=3072 r=12 gr=12 ci=0 gs=3072 tn=147 md=3 vs=3faa1e6e0cfe73d0 dw=3fa0a40102e4f4cc f=0/0 th=4a8e1d9e0f273b80 tk=2"},
       {"block_8x32_all_launches_fail",
        faulted(SchemeSpec::block_gpu(8, 32).with_seed(116), 1.0, 0.0, 77),
        "m=19 s=263 r=33 gr=0 ci=263 gs=0 tn=408 md=5 vs=3fa99a9d9577f89f dw=0000000000000000 f=6/7 th=d6f4d3b7c0292d69 tk=2"},

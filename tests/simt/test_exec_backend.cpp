@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <span>
@@ -61,8 +62,9 @@ void expect_identical(const LaunchCapture& a, const LaunchCapture& b) {
   EXPECT_EQ(a.host_cycles, b.host_cycles);
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
-    // Bitwise floating-point equality: the threaded backend commits
-    // lane_finish in the sequential accumulation order by construction.
+    // Bitwise floating-point equality: blocks commit in no fixed order, but
+    // every partial sum of playout values is exact, so any order gives the
+    // sequential bits.
     EXPECT_EQ(a.results[i].value_first, b.results[i].value_first) << i;
     EXPECT_EQ(a.results[i].value_sq_first, b.results[i].value_sq_first) << i;
     EXPECT_EQ(a.results[i].simulations, b.results[i].simulations) << i;
@@ -81,9 +83,8 @@ TEST(ExecBackend, PerBlockResultsBitIdenticalAcrossThreadCounts) {
 
 TEST(ExecBackend, AliasedResultSlotKeepsSequentialAccumulationOrder) {
   // Leaf parallelism: every block's lanes accumulate into ONE shared slot,
-  // so floating-point accumulation order is observable. The threaded
-  // backend must reproduce the sequential sum exactly, not merely a
-  // permutation of it.
+  // which workers commit into concurrently and in any order. The threaded
+  // backend must still reproduce the sequential sum bit for bit.
   const LaunchConfig cfg{.blocks = 6, .threads_per_block = 64};
   const LaunchCapture sequential = run_playout(1, cfg, 1);
   for (const int threads : {2, 4}) {
@@ -98,9 +99,58 @@ TEST(ExecBackend, PartialWarpGridMatchesSequential) {
   expect_identical(run_playout(1, cfg, 5), run_playout(4, cfg, 5));
 }
 
+/// Launches the playout kernel drivers use (warp-batched for Reversi) on
+/// `gpu` and captures its outputs; `result_slots` of 1 aliases every block
+/// into one slot.
+LaunchCapture run_warp_playout(VirtualGpu& gpu, const LaunchConfig& cfg,
+                               std::size_t result_slots) {
+  const auto root = ReversiGame::initial_state();
+  const std::vector<ReversiGame::State> roots(
+      result_slots == 1 ? 1 : static_cast<std::size_t>(cfg.blocks), root);
+  LaunchCapture out;
+  out.results.assign(result_slots, BlockResult{});
+  PlayoutKernelFor<ReversiGame> kernel(roots, 2011, 7,
+                                       std::span(out.results));
+  util::VirtualClock clock(gpu.host().clock_hz);
+  out.launch = gpu.launch(cfg, kernel, clock);
+  out.host_cycles = clock.cycles();
+  return out;
+}
+
+TEST(ExecBackend, ConcurrentCommitsMatchOneThreadUnderEveryWarpBackend) {
+  // Workers claim blocks and commit each one as it finishes, so blocks
+  // commit concurrently and in a different order on every launch. A grid
+  // wider than any pool, with a 6-lane partial warp per block, must still
+  // give the 1-thread scalar bits under every warp backend, into per-block
+  // slots and into one aliased slot. Twenty launches per pool size sample
+  // many interleavings.
+  const LaunchConfig cfg{.blocks = 37, .threads_per_block = 70};
+  for (const std::size_t slots : {std::size_t{37}, std::size_t{1}}) {
+    VirtualGpu reference_gpu;
+    reference_gpu.set_execution_policy(ExecutionPolicy{
+        .threads = 1, .warp_backend = WarpBackend::kScalar});
+    const LaunchCapture reference =
+        run_warp_playout(reference_gpu, cfg, slots);
+    for (const WarpBackend backend :
+         {WarpBackend::kScalar, WarpBackend::kBatched, WarpBackend::kVerify}) {
+      for (const int threads : {2, 4, 8}) {
+        SCOPED_TRACE(std::string(warp_backend_name(backend)) + " threads=" +
+                     std::to_string(threads) +
+                     " slots=" + std::to_string(slots));
+        VirtualGpu gpu;
+        gpu.set_execution_policy(
+            ExecutionPolicy{.threads = threads, .warp_backend = backend});
+        for (int launch = 0; launch < 20; ++launch) {
+          expect_identical(reference, run_warp_playout(gpu, cfg, slots));
+        }
+      }
+    }
+  }
+}
+
 TEST(ExecBackend, SingleBlockGridRunsUnderThreadedPolicy) {
   // One block cannot be partitioned; the threaded policy must still work
-  // (it falls through to the sequential path).
+  // (it runs on the calling thread).
   const LaunchConfig cfg{.blocks = 1, .threads_per_block = 64};
   expect_identical(run_playout(1, cfg, 1), run_playout(4, cfg, 1));
 }
@@ -135,13 +185,14 @@ TEST(ExecBackend, TraceEventsIdenticalAcrossThreadCounts) {
   }
 }
 
-/// Counts lanes and throws from one block's first step.
+/// Counts lanes and throws from one block's first step. The count is
+/// atomic because workers finish different blocks' lanes concurrently.
 struct ThrowingKernel {
   struct LaneState {
     int block = 0;
   };
   int throwing_block = 0;
-  int finished = 0;
+  std::atomic<int> finished{0};
 
   [[nodiscard]] LaneState make_lane(const LaneId& id) const {
     return {id.block};
@@ -154,8 +205,9 @@ struct ThrowingKernel {
 };
 
 TEST(ExecBackend, WorkerExceptionReachesCallerWithoutHanging) {
-  // Chunks commit in block order, each after the one before it; a chunk
-  // that throws must still let the later chunks commit and finish.
+  // Workers claim blocks from one cursor; a worker that throws stops, the
+  // others must still drain the grid, and the exception must reach the
+  // caller without leaving the pool wedged.
   VirtualGpu gpu;
   gpu.set_execution_policy(ExecutionPolicy{.threads = 4});
   const LaunchConfig cfg{.blocks = 32, .threads_per_block = 32};

@@ -55,7 +55,7 @@ struct LaunchCapture {
 
 /// One PlayoutKernelFor<G> launch under the given warp backend (and exec
 /// thread count). `result_slots` below the block count exercises the
-/// aliased-slot (leaf parallelism) accumulation order.
+/// aliased-slot (leaf parallelism) commit.
 template <typename G>
 LaunchCapture run_playout(WarpBackend backend, const LaunchConfig& cfg,
                           std::size_t result_slots, int threads = 1) {
@@ -91,8 +91,8 @@ void expect_identical(const LaunchCapture& a, const LaunchCapture& b) {
   EXPECT_EQ(a.host_cycles, b.host_cycles);
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
-    // Bitwise floating-point equality: warp_finish commits lane_finish in
-    // the scalar path's accumulation order by construction.
+    // Bitwise floating-point equality: warp_finish commits one tally per
+    // warp where the scalar path commits per lane, and both are exact.
     EXPECT_EQ(a.results[i].value_first, b.results[i].value_first) << i;
     EXPECT_EQ(a.results[i].value_sq_first, b.results[i].value_sq_first) << i;
     EXPECT_EQ(a.results[i].simulations, b.results[i].simulations) << i;
@@ -108,7 +108,7 @@ TEST(WarpBackend, BatchedBitIdenticalToScalarPerBlock) {
 
 TEST(WarpBackend, BatchedKeepsAliasedSlotAccumulationOrder) {
   // Leaf parallelism: every lane of every block accumulates into ONE shared
-  // tally, so floating-point accumulation order is observable.
+  // tally, batched per warp on one side and per lane on the other.
   const LaunchConfig cfg{.blocks = 6, .threads_per_block = 64};
   expect_identical(run_playout<ReversiGame>(WarpBackend::kScalar, cfg, 1),
                    run_playout<ReversiGame>(WarpBackend::kBatched, cfg, 1));
