@@ -1,5 +1,6 @@
 // Wall-clock microbenchmark for the VirtualGpu execution backend
-// (DESIGN.md §9): the same 112x128 playout-kernel launch, executed
+// (DESIGN.md §9): the same 112x128 launch of the kernel every Reversi
+// search runs (PlayoutKernelFor, warp-batched), executed
 // sequentially and on worker pools of increasing size. Results are
 // bit-identical for every thread count — this measures the only thing the
 // knob changes, host throughput. The per-iteration lane count is reported
@@ -41,8 +42,8 @@ void BM_ExecBackendLaunch(benchmark::State& state) {
 
   for (auto _ : state) {
     for (auto& r : results) r = simt::BlockResult{};
-    simt::PlayoutKernel<ReversiGame> kernel(roots, 7, round++,
-                                            std::span(results));
+    simt::PlayoutKernelFor<ReversiGame> kernel(roots, 7, round++,
+                                               std::span(results));
     util::VirtualClock clock(gpu.host().clock_hz);
     benchmark::DoNotOptimize(gpu.launch(cfg, kernel, clock));
   }
@@ -55,6 +56,39 @@ BENCHMARK(BM_ExecBackendLaunch)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// A serve-sized launch: 78 blocks x 32 threads, the combined grid of a
+// SearchService packing 32-thread sessions into 112x32 at 0.695 occupancy.
+// Each launch is short, so the wake-up of the grid's threads shows here.
+void BM_ExecBackendServeLaunch(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  constexpr int kBlocks = 78;
+  constexpr int kThreadsPerBlock = 32;
+
+  simt::VirtualGpu gpu;
+  gpu.set_execution_policy(simt::ExecutionPolicy{.threads = threads});
+  const simt::LaunchConfig cfg{.blocks = kBlocks,
+                               .threads_per_block = kThreadsPerBlock};
+  const auto root = ReversiGame::initial_state();
+  std::vector<ReversiGame::State> roots(kBlocks, root);
+  std::vector<simt::BlockResult> results(kBlocks);
+  std::uint64_t round = 0;
+
+  for (auto _ : state) {
+    for (auto& r : results) r = simt::BlockResult{};
+    simt::PlayoutKernelFor<ReversiGame> kernel(roots, 7, round++,
+                                               std::span(results));
+    util::VirtualClock clock(gpu.host().clock_hz);
+    benchmark::DoNotOptimize(gpu.launch(cfg, kernel, clock));
+  }
+  state.SetItemsProcessed(state.iterations() * kBlocks * kThreadsPerBlock);
+  state.counters["exec_threads"] = static_cast<double>(threads);
+}
+BENCHMARK(BM_ExecBackendServeLaunch)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
 // The same grid split into two block_offset halves enqueued on two streams
@@ -82,8 +116,8 @@ void BM_ExecBackendPipelined(benchmark::State& state) {
 
   for (auto _ : state) {
     for (auto& r : results) r = simt::BlockResult{};
-    simt::PlayoutKernel<ReversiGame> kernel(roots, 7, round++,
-                                            std::span(results));
+    simt::PlayoutKernelFor<ReversiGame> kernel(roots, 7, round++,
+                                               std::span(results));
     util::VirtualClock clock(gpu.host().clock_hz);
     const simt::StreamTicket tickets[2] = {
         gpu.launch_on(0, half_cfg[0], kernel, clock),

@@ -36,9 +36,16 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 #include "util/check.hpp"
 
@@ -100,7 +107,7 @@ class TranspositionTable {
     while (per_shard * 2 * shards_ <= min_entries) per_shard *= 2;
     slots_per_shard_ = per_shard;
     window_ = kProbeWindow < per_shard ? kProbeWindow : per_shard;
-    entries_ = std::make_unique<Entry[]>(shards_ * slots_per_shard_);
+    entries_ = allocate_entries(shards_ * slots_per_shard_);
   }
 
   TranspositionTable(const TranspositionTable&) = delete;
@@ -263,6 +270,36 @@ class TranspositionTable {
     std::atomic<std::uint64_t> data{0};
   };
   static_assert(sizeof(Entry) == 16, "two-word lock-free entry");
+  static_assert(std::is_trivially_destructible_v<Entry>,
+                "entries are freed without running destructors");
+
+  /// On Linux the entries start on a 2 MiB boundary and are advised as
+  /// transparent huge pages before they are zeroed, so a 64 MB table
+  /// faults in 32 pages instead of 16,384; elsewhere the alignment is
+  /// plain.
+#if defined(__linux__)
+  static constexpr std::size_t kEntriesAlignment = std::size_t{2} << 20;
+#else
+  static constexpr std::size_t kEntriesAlignment = alignof(Entry);
+#endif
+
+  struct FreeEntries {
+    void operator()(Entry* entries) const noexcept {
+      ::operator delete(entries, std::align_val_t{kEntriesAlignment});
+    }
+  };
+
+  static std::unique_ptr<Entry[], FreeEntries> allocate_entries(
+      std::size_t count) {
+    const std::size_t bytes = count * sizeof(Entry);
+    void* raw = ::operator new(bytes, std::align_val_t{kEntriesAlignment});
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+    // Advice only: where huge pages are unavailable the table still works.
+    (void)::madvise(raw, bytes, MADV_HUGEPAGE);
+#endif
+    std::uninitialized_value_construct_n(static_cast<Entry*>(raw), count);
+    return std::unique_ptr<Entry[], FreeEntries>(static_cast<Entry*>(raw));
+  }
 
   /// Key 0 would collide with the empty-slot encoding (check == data == 0
   /// validates key 0); remap it to an arbitrary fixed odd constant.
@@ -307,7 +344,7 @@ class TranspositionTable {
   std::size_t shards_ = 1;
   std::size_t slots_per_shard_ = 1;
   std::size_t window_ = 1;
-  std::unique_ptr<Entry[]> entries_;
+  std::unique_ptr<Entry[], FreeEntries> entries_;
   std::atomic<std::uint8_t> epoch_{0};
   mutable std::atomic<std::uint64_t> stats_probes_{0};
   mutable std::atomic<std::uint64_t> stats_hits_{0};

@@ -7,7 +7,8 @@
 // piling onto one leaf. The modeled TreeParallelSearcher (tree:W) remains
 // the deterministic single-threaded reference; this searcher trades that
 // determinism (at workers > 1) for actual wall-clock scaling, which
-// bench/ablation_shared_tree.cpp measures.
+// bench/ablation_shared_tree.cpp measures. Worker 0 is the thread that
+// calls choose_move; the other W - 1 run on the searcher's pool.
 //
 // Supervision contract: every worker polls the shared mcts::StopCheck
 // (cancel token → wall deadline), then the virtual budget, at its round
@@ -46,7 +47,8 @@ template <game::Game G>
 class SharedTreeSearcher final : public mcts::Searcher<G> {
  public:
   struct Options {
-    /// Host threads mutating the shared tree concurrently.
+    /// Host threads mutating the shared tree concurrently: the calling
+    /// thread plus workers - 1 pool threads.
     int workers = 4;
     /// Visits each in-flight selection counts for under classic virtual
     /// loss. Ignored when wu_uct is set (the in-flight count then feeds

@@ -17,16 +17,20 @@
 // "gpu.s<k>" trace tracks make the overlap visible in Chrome traces.
 //
 // Execution backend (DESIGN.md §9): blocks are independent, as on a real
-// GPU, so pool workers claim blocks one at a time from an atomic cursor,
-// run each block's warps, write the warps' traces into canonical slots, and
-// commit the block's lanes (warp_finish / lane_finish) right away, with no
-// staging and no wait on other blocks. Modeled device cycles and divergence
-// statistics are folded from the slots in canonical order, so they are
-// bit-identical at any thread count; kernel outputs are too, because the
-// kernel contract (kernel.hpp) makes a commit into a slot shared by several
-// blocks independent of order. The default thread count is the number of
-// CPUs the process may run on; threads == 1 runs the same block loop on the
-// calling thread.
+// GPU, so the grid's participants claim blocks one at a time from an atomic
+// cursor, run each block's warps, write the warps' traces into canonical
+// slots, and commit the block's lanes (warp_finish / lane_finish) right
+// away, with no staging and no wait on other blocks. The participants are
+// the launching thread (the controller, or a stream worker for launch_on)
+// and the threads - 1 threads of the device's util::ThreadPool, which poll
+// for the next launch for a short window before they park, so a launch
+// that follows the last one closely starts on threads that are already
+// running. Modeled device cycles and divergence statistics are folded from
+// the slots in canonical order, so they are bit-identical at any thread
+// count; kernel outputs are too, because the kernel contract (kernel.hpp)
+// makes a commit into a slot shared by several blocks independent of order.
+// The default thread count is the number of CPUs the process may run on;
+// threads == 1 runs the same block loop on the calling thread alone.
 #pragma once
 
 #include <algorithm>
@@ -154,7 +158,8 @@ enum class WarpBackend : std::uint8_t {
 
 /// How the VirtualGpu executes a grid on the host. `threads == 1` runs
 /// blocks sequentially on the calling thread; `threads > 1` lets up to that
-/// many pool workers claim blocks (from_env() defaults to every host CPU).
+/// many threads claim blocks, the launching thread included (from_env()
+/// defaults to every host CPU).
 /// Kernel outputs, warp traces, and device cycles are bit-identical either
 /// way (the point of the backend is wall-clock speed, not modeled
 /// behaviour), which requires kernels to follow the threaded contract in
@@ -239,9 +244,11 @@ class VirtualGpu {
   }
 
   /// The worker pool backing threaded execution, or nullptr when the policy
-  /// is sequential. Lazily created; copies of this VirtualGpu made before
-  /// first use each get their own pool, copies made after share it (the pool
-  /// is thread-safe, and sharing keeps thread counts bounded).
+  /// is sequential. Its worker_count() is policy.threads participants: the
+  /// launching thread plus threads - 1 spawned ones. Lazily created; copies
+  /// of this VirtualGpu made before first use each get their own pool,
+  /// copies made after share it (the pool is thread-safe, and sharing keeps
+  /// thread counts bounded).
   [[nodiscard]] util::ThreadPool* worker_pool() {
     if (exec_.threads <= 1) return nullptr;
     if (!pool_) {
@@ -416,8 +423,9 @@ class VirtualGpu {
   /// inputs/outputs must not be touched by the caller, until wait() returns
   /// this ticket's StreamLaunch (the future inside wait() is the
   /// synchronization point). Grids with more than one block use the worker
-  /// pool when the execution policy is threaded — the pool is shared by
-  /// every launch of this device and is safe to use from several threads.
+  /// pool when the execution policy is threaded, with the stream's worker
+  /// thread as the launching participant — the pool is shared by every
+  /// launch of this device and serves concurrent launches in arrival order.
   ///
   /// The host clock is charged the enqueue half of the launch overhead.
   /// Fault draws (launch failure, stall) happen here, on the controlling
@@ -874,11 +882,12 @@ class VirtualGpu {
   /// Runs every block of the grid and returns the warps' traces in
   /// canonical block-major slots (traces[block * warps_per_block + warp]).
   /// Without a pool the calling thread runs the blocks in order; with one,
-  /// min(workers, blocks) pool tasks each claim the next block from an
-  /// atomic cursor until none is left. Whoever runs a block also commits
-  /// it (run_block), so nothing is staged and no worker waits on another.
-  /// A worker that throws stops claiming; the others drain the cursor, and
-  /// the pool rethrows the first exception on the caller.
+  /// min(participants, blocks) claim loops, the first on the calling
+  /// thread, each claim the next block from an atomic cursor until none is
+  /// left. Whoever runs a block also commits it (run_block), so nothing is
+  /// staged and no worker waits on another. A worker that throws stops
+  /// claiming; the others drain the cursor, and the pool rethrows the first
+  /// exception on the caller.
   template <LaneKernel K>
   std::vector<WarpTrace> execute_blocks(const LaunchConfig& cfg, K& kernel,
                                         util::ThreadPool* pool) const {
@@ -896,14 +905,12 @@ class VirtualGpu {
                   scratch);
       }
     };
-    const std::size_t workers =
-        pool == nullptr ? 1
-                        : std::min(pool->worker_count(),
-                                   static_cast<std::size_t>(cfg.blocks));
-    if (workers <= 1) {
+    if (pool == nullptr) {
       claim_blocks();
     } else {
-      pool->parallel_for(workers, [&](std::size_t) { claim_blocks(); });
+      pool->parallel_for(
+          std::min(pool->worker_count(), static_cast<std::size_t>(cfg.blocks)),
+          [&](std::size_t) { claim_blocks(); });
     }
     return traces;
   }
