@@ -13,11 +13,13 @@
 //   --gtest_filter='DriverBitExact.DumpGoldens' prints the table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/factory.hpp"
@@ -218,6 +220,31 @@ std::vector<GoldenCase> golden_cases() {
       {"block_8x32_all_launches_fail",
        faulted(SchemeSpec::block_gpu(8, 32).with_seed(116), 1.0, 0.0, 77),
        "m=19 s=263 r=33 gr=0 ci=263 gs=0 tn=408 md=5 vs=3fa99a9d9577f89f dw=0000000000000000 f=6/7 th=d6f4d3b7c0292d69 tk=2"},
+      {"leaf_5x32",
+       SchemeSpec::leaf_gpu(5, 32).with_seed(103),
+       "m=26 s=2080 r=13 gr=13 ci=0 gs=2080 tn=20 md=3 vs=3fabbc132d5b61e2 dw=3fa0d5792313738b f=0/0 th=63d68eb78f62cbf4 tk=2"},
+      {"block_7x32",
+       SchemeSpec::block_gpu(7, 32).with_seed(106),
+       "m=44 s=2688 r=12 gr=12 ci=0 gs=2688 tn=138 md=3 vs=3faa4eb3df8afeba dw=3fa1e804f7ed77bb f=0/0 th=90eb0ebef7301802 tk=2"},
+      {"hybrid_8x32_pipelined",
+       SchemeSpec::hybrid(8, 32).with_seed(118).with_pipeline(),
+       "m=37 s=1798 r=6 gr=6 ci=262 gs=1536 tn=502 md=6 vs=3fa9df43e2389ad6 dw=3fa12f88e93d525b f=0/0 th=ecb8636c6a912f17 tk=4"},
+      {"gpu_only_8x32_pipelined",
+       SchemeSpec::hybrid(8, 32, /*cpu_overlap=*/false)
+           .with_seed(121)
+           .with_pipeline(),
+       "m=37 s=1536 r=6 gr=6 ci=0 gs=1536 tn=76 md=2 vs=3fa9ca20c4889782 dw=3fa1179e382b342b f=0/0 th=dfa19445840aec2a tk=4"},
+      {"hybrid_8x32_pipelined3_faulted",
+       faulted(SchemeSpec::hybrid(8, 32)
+                   .with_seed(119)
+                   .with_pipeline()
+                   .with_pipeline_depth(3),
+               0.3, 0.2, 78),
+       "m=44 s=1219 r=4 gr=4 ci=195 gs=1024 tn=338 md=6 vs=3fa99e82cab3c645 dw=3fa16db4ba7236b4 f=9/9 th=b4d22cf59732b7e6 tk=5"},
+      {"hybrid_8x32_pipelined_all_launches_fail",
+       faulted(SchemeSpec::hybrid(8, 32).with_seed(122).with_pipeline(), 1.0,
+               0.0, 79),
+       "m=37 s=264 r=33 gr=0 ci=264 gs=0 tn=402 md=6 vs=3fa99b45e7dd340b dw=0000000000000000 f=12/14 th=bd05456c69804aee tk=4"},
   };
 }
 
@@ -337,6 +364,81 @@ TEST(DriverDepth, HybridPipelinedFaultedIsDeterministic) {
   const SearchCapture once = run_search(spec, 1);
   EXPECT_GT(once.stats.faults.faults(), 0u);
   EXPECT_EQ(encode(run_search(spec, 4)), encode(once));
+}
+
+// ---- the surviving pipelined path: hybrid over stream cohorts ------------
+
+/// The track names and events of one traced hybrid:8x32+pipeline search.
+struct TracedRun {
+  mcts::SearchStats stats;
+  std::vector<obs::TraceEvent> events;
+  std::vector<std::string> track_names;
+};
+
+TracedRun run_traced(const engine::SchemeSpec& spec) {
+  TracedRun out;
+  obs::Tracer tracer;
+  auto searcher =
+      engine::make_searcher<ReversiGame>(spec.with_exec_threads(1));
+  searcher->set_tracer(&tracer);
+  (void)searcher->choose_move(ReversiGame::initial_state(), kBudget);
+  out.stats = searcher->last_stats();
+  out.events = tracer.merged();
+  for (std::size_t t = 0; t < tracer.track_count(); ++t) {
+    out.track_names.push_back(tracer.track_name(static_cast<int>(t)));
+  }
+  return out;
+}
+
+std::uint64_t count_events(const TracedRun& run, obs::TraceEvent::Kind kind,
+                           std::string_view name) {
+  std::uint64_t n = 0;
+  for (const obs::TraceEvent& e : run.events) {
+    if (e.kind == kind && std::string_view(e.name) == name) ++n;
+  }
+  return n;
+}
+
+TEST(PipelineBitExact, PipelinedRunEmitsPerStreamDeviceTracks) {
+  const TracedRun run = run_traced(
+      engine::SchemeSpec::parse("hybrid:8x32+pipeline").with_seed(29));
+  const auto has_track = [&](std::string_view name) {
+    return std::find(run.track_names.begin(), run.track_names.end(), name) !=
+           run.track_names.end();
+  };
+  EXPECT_TRUE(has_track("gpu.s0"));
+  EXPECT_TRUE(has_track("gpu.s1"));
+  // And the streams really carried kernel spans.
+  std::uint64_t stream_kernels = 0;
+  for (const obs::TraceEvent& e : run.events) {
+    if (e.kind == obs::TraceEvent::Kind::kBegin &&
+        std::string_view(e.name) == "kernel" &&
+        run.track_names.at(e.track).starts_with("gpu.s")) {
+      ++stream_kernels;
+    }
+  }
+  EXPECT_GT(run.stats.gpu_rounds, 0u);
+  EXPECT_EQ(stream_kernels, 2 * run.stats.gpu_rounds);
+}
+
+TEST(PipelineBitExact, AllLaunchesFailedDegradesToCpuPerCohort) {
+  // Every launch fails -> both cohorts exhaust max_failed_rounds, abandon
+  // their streams, and the search survives on CPU fallback iterations.
+  const TracedRun run =
+      run_traced(faulted(engine::SchemeSpec::parse("hybrid:8x32+pipeline")
+                             .with_seed(30),
+                         1.0, 0.0, 73));
+  EXPECT_EQ(run.stats.gpu_rounds, 0u);
+  EXPECT_EQ(run.stats.gpu_simulations, 0u);
+  EXPECT_GT(run.stats.rounds, 0u);
+  EXPECT_GT(run.stats.cpu_iterations, 0u);
+  EXPECT_EQ(run.stats.divergence_waste, 0.0);
+  EXPECT_EQ(count_events(run, obs::TraceEvent::Kind::kInstant,
+                         "cohort_abandoned"),
+            2u);  // one per cohort
+  EXPECT_EQ(
+      count_events(run, obs::TraceEvent::Kind::kInstant, "gpu_abandoned"),
+      1u);
 }
 
 // Prints the golden table (for regeneration after a deliberate seed-path

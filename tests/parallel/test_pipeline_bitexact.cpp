@@ -5,10 +5,6 @@
 //    stats, and the full trace event stream are compared, fault-injected
 //    runs included (under faults the schedule is the honest overlapped one,
 //    so sync equality is not required — thread-count equality is);
-//  * kernels launched on streams appear on per-stream device tracks
-//    ("gpu.s0"/"gpu.s1");
-//  * a cohort that exhausts its retry budget degrades to CPU fallback
-//    without taking the search down.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -143,51 +139,6 @@ TEST(PipelineBitExact, FaultedPipelinedIdenticalAcrossExecThreads) {
   leaf.gpu_faults.kernel_launch_failure = 0.3;
   leaf.fault_seed = 72;
   expect_bit_identical(run_search(leaf, 1), run_search(leaf, 4));
-}
-
-TEST(PipelineBitExact, PipelinedRunEmitsPerStreamDeviceTracks) {
-  const auto spec =
-      engine::SchemeSpec::block_gpu(8, 32).with_seed(29).with_pipeline();
-  const SearchCapture run = run_search(spec, 1);
-  const auto has_track = [&](std::string_view name) {
-    return std::find(run.track_names.begin(), run.track_names.end(), name) !=
-           run.track_names.end();
-  };
-  EXPECT_TRUE(has_track("gpu.s0"));
-  EXPECT_TRUE(has_track("gpu.s1"));
-  // And the streams really carried kernel spans.
-  std::uint64_t stream_kernels = 0;
-  for (const obs::TraceEvent& e : run.events) {
-    if (e.kind == obs::TraceEvent::Kind::kBegin &&
-        std::string_view(e.name) == "kernel" &&
-        run.track_names.at(e.track).starts_with("gpu.s")) {
-      ++stream_kernels;
-    }
-  }
-  EXPECT_EQ(stream_kernels, 2 * run.stats.gpu_rounds);
-}
-
-TEST(PipelineBitExact, AllLaunchesFailedDegradesToCpuPerCohort) {
-  // Every launch fails -> both cohorts exhaust max_failed_rounds, abandon
-  // their streams, and the search survives on CPU fallback iterations.
-  auto spec =
-      engine::SchemeSpec::block_gpu(8, 32).with_seed(30).with_pipeline();
-  spec.gpu_faults.kernel_launch_failure = 1.0;
-  spec.fault_seed = 73;
-  const SearchCapture run = run_search(spec, 1);
-  EXPECT_EQ(run.stats.gpu_rounds, 0u);
-  EXPECT_EQ(run.stats.gpu_simulations, 0u);
-  EXPECT_GT(run.stats.rounds, 0u);
-  EXPECT_GT(run.stats.cpu_iterations, 0u);
-  EXPECT_EQ(run.stats.divergence_waste, 0.0);
-  std::uint64_t abandoned = 0;
-  for (const obs::TraceEvent& e : run.events) {
-    if (e.kind == obs::TraceEvent::Kind::kInstant &&
-        std::string_view(e.name) == "cohort_abandoned") {
-      ++abandoned;
-    }
-  }
-  EXPECT_EQ(abandoned, 2u);  // one per cohort
 }
 
 }  // namespace

@@ -147,5 +147,16 @@ TEST(RoundAlloc, BlockPipelinedRoundsStayBounded) {
       64.0);
 }
 
+TEST(RoundAlloc, HybridPipelinedRoundsStayBounded) {
+  // The pipelined path's per-round ticket/launch/flag/trace vectors are
+  // hoisted; what remains is tree growth (the overlap's CPU iterations add
+  // nodes every round) and the stream machinery itself (a queued op and a
+  // warp-trace vector per cohort launch). It measured 12.4 allocations per
+  // round when this bound was set; the bound catches per-round vector
+  // churn on top of that.
+  expect_bounded_per_round(
+      engine::SchemeSpec::hybrid(8, 32).with_seed(7).with_pipeline(), 32.0);
+}
+
 }  // namespace
 }  // namespace gpu_mcts::parallel
