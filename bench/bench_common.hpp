@@ -37,13 +37,6 @@ struct CommonFlags {
   /// GPU_MCTS_EXEC_THREADS, else every host CPU). Bit-identical results for
   /// every value; this only changes wall-clock time (DESIGN.md §9).
   int exec_threads = 0;
-  /// Stream-pipelined rounds for the leaf/block/hybrid GPU subjects (the
-  /// "+pipeline[:<depth>]" spec suffix). Bit-identical results for leaf and
-  /// block; wall-clock only.
-  bool pipeline = false;
-  /// Stream cohorts per pipelined round (the ":<depth>" of the suffix;
-  /// 2 is the legacy two-stream ping-pong).
-  int pipeline_depth = 2;
 
   static CommonFlags parse(const util::CliArgs& args) {
     CommonFlags f;
@@ -59,9 +52,6 @@ struct CommonFlags {
     f.trace_jsonl = args.get_string("trace", "");
     f.trace_chrome = args.get_string("chrome-trace", "");
     f.exec_threads = static_cast<int>(args.get_uint("exec-threads", 0));
-    f.pipeline = args.get_bool("pipeline", false);
-    f.pipeline_depth =
-        static_cast<int>(args.get_uint("pipeline-depth", 2));
     // Export through the environment knob so every VirtualGpu the bench
     // constructs (subjects, opponents, probes) inherits it without each
     // call site threading the value through its SchemeSpec.
@@ -136,7 +126,7 @@ inline void print_header(const std::string& title, const CommonFlags& f) {
             << "s (virtual)  seed=" << f.seed << "\n"
             << "flags: --games N --budget SECONDS --seed N --csv --quick"
                " --trace FILE.jsonl --chrome-trace FILE.json"
-               " --exec-threads N --pipeline --pipeline-depth N\n\n";
+               " --exec-threads N\n\n";
 }
 
 inline void emit(const util::Table& table, const CommonFlags& f,

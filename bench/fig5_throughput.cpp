@@ -11,10 +11,9 @@
 // decreases. This is due to the CPU's sequential part").
 //
 // Besides the table, the run emits BENCH_fig5_throughput.json: every row in
-// machine-readable form plus a pipelined-vs-synchronous comparison for the
-// flagship block configuration (same virtual-time results — that is the
-// bit-exactness contract — compared on *wall-clock* sims/s, where stream
-// pipelining can only help when the host has spare cores).
+// machine-readable form plus a pipeline-depth sweep of the hybrid scheme
+// (hybrid:112x128 at depths 1-3, wall-clock and virtual sims/s), the only
+// scheme whose stream rounds overlap CPU work.
 #include <chrono>
 #include <iostream>
 #include <thread>
@@ -83,17 +82,11 @@ int main(int argc, char** argv) {
 
     const engine::SchemeSpec specs[] = {
         engine::SchemeSpec::leaf_gpu_threads(threads, 64)
-            .with_seed(flags.seed)
-            .with_pipeline(flags.pipeline)
-            .with_pipeline_depth(flags.pipeline_depth),
+            .with_seed(flags.seed),
         engine::SchemeSpec::block_gpu_threads(threads, 32)
-            .with_seed(flags.seed)
-            .with_pipeline(flags.pipeline)
-            .with_pipeline_depth(flags.pipeline_depth),
+            .with_seed(flags.seed),
         engine::SchemeSpec::block_gpu_threads(threads, 128)
-            .with_seed(flags.seed)
-            .with_pipeline(flags.pipeline)
-            .with_pipeline_depth(flags.pipeline_depth),
+            .with_seed(flags.seed),
     };
     for (const engine::SchemeSpec& spec : specs) {
       const Measurement m = measure(spec, flags.budget, trace);
@@ -111,84 +104,50 @@ int main(int argc, char** argv) {
 
   bench::emit(table, flags, "fig5_throughput");
 
-  // Pipelined vs synchronous, flagship block configuration: identical
-  // virtual-time results by construction; the comparison is wall-clock.
-  const engine::SchemeSpec sync_spec =
-      engine::SchemeSpec::block_gpu(112, 128).with_seed(flags.seed);
-  const Measurement sync_m = measure(sync_spec, flags.budget, trace);
-  const Measurement pipe_m =
-      measure(sync_spec.with_pipeline(), flags.budget, trace);
-  const double ratio =
-      sync_m.wall_rate() > 0.0 ? pipe_m.wall_rate() / sync_m.wall_rate() : 0.0;
-  util::Table pipe_table({"config", "wall_seconds", "wall_sims_per_s",
-                          "virtual_sims_per_s"});
-  pipe_table.begin_row()
-      .add(sync_spec.to_string())
-      .add(sync_m.wall_seconds)
-      .add(sync_m.wall_rate(), 0)
-      .add(sync_m.virtual_rate, 0);
-  pipe_table.begin_row()
-      .add(sync_spec.with_pipeline().to_string())
-      .add(pipe_m.wall_seconds)
-      .add(pipe_m.wall_rate(), 0)
-      .add(pipe_m.virtual_rate, 0);
-  std::cout << "Pipelined vs synchronous (wall-clock; virtual results are "
-               "bit-identical):\n";
-  bench::emit(pipe_table, flags, "fig5_pipeline_comparison");
-  std::cout << "pipelined/sync wall-clock speedup: " << ratio << " (host has "
-            << std::thread::hardware_concurrency() << " hardware threads)\n\n";
-
-  // Pipeline-depth sweep (DESIGN.md §11): flagship leaf/block/hybrid at
-  // stream depths 1, 2, and 3. For leaf and block the virtual results are
-  // bit-identical at every depth (depth 1 is the synchronous path), so the
-  // sweep compares wall-clock only; hybrid folds its overlap iterations into
-  // the one honest timeline, so its virtual rate is reported per depth.
+  // Pipeline-depth sweep (DESIGN.md §10): hybrid:112x128 at stream depths
+  // 1, 2 and 3, the one scheme whose streams overlap CPU work. Depth 1 is
+  // the synchronous round; deeper rounds fold their overlap iterations into
+  // the one virtual timeline, so both clocks are reported per depth.
+  const engine::SchemeSpec hybrid =
+      engine::SchemeSpec::hybrid(112, 128).with_seed(flags.seed);
   util::Table depth_table({"config", "depth", "wall_seconds",
                            "wall_sims_per_s", "virtual_sims_per_s"});
-  const engine::SchemeSpec sweep_bases[] = {
-      engine::SchemeSpec::leaf_gpu(8, 64).with_seed(flags.seed),
-      engine::SchemeSpec::block_gpu(112, 128).with_seed(flags.seed),
-      engine::SchemeSpec::hybrid(112, 128).with_seed(flags.seed),
-  };
-  for (const engine::SchemeSpec& base : sweep_bases) {
-    for (const int depth : {1, 2, 3}) {
-      const engine::SchemeSpec spec =
-          base.with_pipeline().with_pipeline_depth(depth);
-      const Measurement m = measure(spec, flags.budget, trace);
-      depth_table.begin_row()
-          .add(spec.to_string())
-          .add(depth)
-          .add(m.wall_seconds)
-          .add(m.wall_rate(), 0)
-          .add(m.virtual_rate, 0);
-      json_rows.push_back(
-          {{"scheme", bench::jstr("pipeline_depth_sweep")},
-           {"config", bench::jstr(spec.to_string())},
-           {"pipeline_depth",
-            bench::jint(static_cast<std::uint64_t>(depth))},
-           {"wall_seconds", bench::jnum(m.wall_seconds)},
-           {"wall_sims_per_s", bench::jnum(m.wall_rate())},
-           {"virtual_sims_per_s", bench::jnum(m.virtual_rate)},
-           {"simulations", bench::jint(m.simulations)},
-           {"exec_backend", bench::jstr(exec_backend())}});
-    }
+  double depth_rate[4] = {};
+  for (const int depth : {1, 2, 3}) {
+    const engine::SchemeSpec spec =
+        hybrid.with_pipeline().with_pipeline_depth(depth);
+    const Measurement m = measure(spec, flags.budget, trace);
+    depth_rate[depth] = m.wall_rate();
+    depth_table.begin_row()
+        .add(spec.to_string())
+        .add(depth)
+        .add(m.wall_seconds)
+        .add(m.wall_rate(), 0)
+        .add(m.virtual_rate, 0);
+    json_rows.push_back(
+        {{"scheme", bench::jstr("pipeline_depth_sweep")},
+         {"config", bench::jstr(spec.to_string())},
+         {"pipeline_depth", bench::jint(static_cast<std::uint64_t>(depth))},
+         {"wall_seconds", bench::jnum(m.wall_seconds)},
+         {"wall_sims_per_s", bench::jnum(m.wall_rate())},
+         {"virtual_sims_per_s", bench::jnum(m.virtual_rate)},
+         {"simulations", bench::jint(m.simulations)},
+         {"exec_backend", bench::jstr(exec_backend())}});
   }
-  std::cout << "Pipeline-depth sweep (leaf/block virtual results are "
-               "depth-invariant; wall-clock varies):\n";
+  std::cout << "Pipeline-depth sweep, hybrid (depth 1 is synchronous):\n";
   bench::emit(depth_table, flags, "fig5_pipeline_depth_sweep");
-
-  json_rows.push_back(
-      {{"scheme", bench::jstr("pipeline_comparison")},
-       {"config", bench::jstr(sync_spec.to_string())},
-       {"sync_wall_seconds", bench::jnum(sync_m.wall_seconds)},
-       {"sync_wall_sims_per_s", bench::jnum(sync_m.wall_rate())},
-       {"pipelined_wall_seconds", bench::jnum(pipe_m.wall_seconds)},
-       {"pipelined_wall_sims_per_s", bench::jnum(pipe_m.wall_rate())},
-       {"wall_speedup", bench::jnum(ratio)},
-       {"exec_backend", bench::jstr(exec_backend())},
-       {"virtual_results_identical",
-        bench::jbool(sync_m.simulations == pipe_m.simulations &&
-                     sync_m.virtual_rate == pipe_m.virtual_rate)}});
+  const double ratio =
+      depth_rate[1] > 0.0 ? depth_rate[2] / depth_rate[1] : 0.0;
+  std::cout << "depth-2/depth-1 wall-clock speedup: " << ratio
+            << " (host has " << std::thread::hardware_concurrency()
+            << " hardware threads)\n\n";
+  json_rows.push_back({{"scheme", bench::jstr("pipeline_comparison")},
+                       {"config", bench::jstr(hybrid.to_string())},
+                       {"sync_wall_sims_per_s", bench::jnum(depth_rate[1])},
+                       {"pipelined_wall_sims_per_s",
+                        bench::jnum(depth_rate[2])},
+                       {"wall_speedup", bench::jnum(ratio)},
+                       {"exec_backend", bench::jstr(exec_backend())}});
   bench::write_bench_json(
       "fig5_throughput",
       {{"bench", bench::jstr("fig5_throughput")},
@@ -198,8 +157,7 @@ int main(int argc, char** argv) {
            static_cast<std::uint64_t>(flags.exec_threads))},
        {"hardware_concurrency",
         bench::jint(std::thread::hardware_concurrency())},
-       {"exec_backend", bench::jstr(exec_backend())},
-       {"pipeline_flag", bench::jbool(flags.pipeline)}},
+       {"exec_backend", bench::jstr(exec_backend())}},
       "rows", json_rows);
   trace.finish();
 

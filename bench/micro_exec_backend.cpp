@@ -92,7 +92,7 @@ BENCHMARK(BM_ExecBackendServeLaunch)
     ->UseRealTime();
 
 // The same grid split into two block_offset halves enqueued on two streams
-// (the pipelined searchers' shape, DESIGN.md §10) — the direct
+// (the shape of a pipelined hybrid round, DESIGN.md §10) — the direct
 // pipelined-vs-synchronous comparison row for this backend. Lane work is
 // identical to BM_ExecBackendLaunch, so items_per_second is comparable
 // between the two benchmarks at equal thread counts.

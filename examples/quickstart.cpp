@@ -3,14 +3,16 @@
 // Optionally record the search as a virtual-time trace.
 //
 //   ./quickstart [--scheme block:112x128] [--budget 0.05] [--wall-ms MS]
-//                [--exec-threads N] [--pipeline] [--pipeline-depth N]
+//                [--exec-threads N]
 //                [--trace out.jsonl] [--chrome-trace out.json]
 //
 // Scheme spec examples: "seq", "root:8", "leaf:8x128", "block:112x128",
-// "block:112x128+pipeline", "hybrid:112x128+pipeline:3", "dist:4x56x128"
-// (see engine/spec.hpp for the grammar).
+// "hybrid:112x128+pipeline", "hybrid:112x128+pipeline:3", "dist:4x56x128"
+// (see engine/spec.hpp for the grammar). A malformed spec prints the parse
+// error and exits with status 2.
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "engine/factory.hpp"
 #include "obs/sinks.hpp"
@@ -42,19 +44,19 @@ int main(int argc, char** argv) {
 
   // 1. Describe a player with a spec string and build it for Reversi. The
   //    same spec builds a searcher for any registered game.
-  engine::SchemeSpec spec = engine::SchemeSpec::parse(spec_text);
+  engine::SchemeSpec spec;
+  try {
+    spec = engine::SchemeSpec::parse(spec_text);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << '\n';
+    return 2;
+  }
   spec.search.seed = args.get_uint("seed", 2011);
   // Host workers for the virtual GPU's execution backend. Results are
   // bit-identical for every value — this only buys wall-clock speed
   // (DESIGN.md §9). 0 inherits GPU_MCTS_EXEC_THREADS, else uses every
   // host CPU.
   spec.exec_threads = static_cast<int>(args.get_uint("exec-threads", 0));
-  // Stream-pipelined rounds for the leaf/block/hybrid GPU schemes
-  // (equivalent to the "+pipeline[:<depth>]" spec suffix); leaf/block
-  // results are bit-identical either way.
-  if (args.get_bool("pipeline", false)) spec.pipeline = true;
-  spec.pipeline_depth = static_cast<int>(
-      args.get_uint("pipeline-depth", spec.pipeline_depth));
   auto player = engine::make_searcher<reversi::ReversiGame>(spec);
 
   // 2. Optionally attach a tracer: spans and metrics in *virtual* time.

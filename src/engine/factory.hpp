@@ -35,6 +35,7 @@
 #include "parallel/shared_tree.hpp"
 #include "parallel/tree_parallel.hpp"
 #include "simt/vgpu.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace gpu_mcts::engine {
@@ -133,19 +134,17 @@ class SearcherRegistry {
           spec.search, spec.host, spec.cost);
     });
     add("leaf-gpu", [](const SchemeSpec& spec) -> SearcherPtr {
+      util::expects(!spec.pipeline, "leaf-gpu rounds do not pipeline");
       return std::make_unique<parallel::LeafParallelGpuSearcher<G>>(
           typename parallel::LeafParallelGpuSearcher<G>::Options{
-              .launch = spec.launch(),
-              .pipeline = spec.pipeline,
-              .pipeline_depth = spec.pipeline_depth},
+              .launch = spec.launch()},
           spec.search, make_vgpu(spec));
     });
     add("block-gpu", [](const SchemeSpec& spec) -> SearcherPtr {
+      util::expects(!spec.pipeline, "block-gpu rounds do not pipeline");
       return std::make_unique<parallel::BlockParallelGpuSearcher<G>>(
           typename parallel::BlockParallelGpuSearcher<G>::Options{
-              .launch = spec.launch(),
-              .pipeline = spec.pipeline,
-              .pipeline_depth = spec.pipeline_depth},
+              .launch = spec.launch()},
           spec.search, make_vgpu(spec));
     });
     add("hybrid", [](const SchemeSpec& spec) -> SearcherPtr {

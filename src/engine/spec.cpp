@@ -29,8 +29,8 @@ constexpr SchemeForm kForms[] = {
     {"root", ":<threads>", false, false},
     {"tree", ":<workers>[:vl=<loss>]", false, false},
     {"shared", ":<workers>[:vl=<loss>][:wu]", false, true},
-    {"leaf", ":<blocks>x<tpb>", true, true},
-    {"block", ":<blocks>x<tpb>", true, true},
+    {"leaf", ":<blocks>x<tpb>", false, true},
+    {"block", ":<blocks>x<tpb>", false, true},
     {"hybrid", ":<blocks>x<tpb>", true, true},
     {"gpu-only", ":<blocks>x<tpb>", true, true},
     {"dist", ":<ranks>x<blocks>x<tpb>", false, false},
@@ -230,8 +230,9 @@ SchemeSpec SchemeSpec::parse(std::string_view text) {
                                     : body.substr(colon + 1);
   const auto reject_pipeline = [&]() {
     if (pipeline) {
-      parse_fail(text, "\"+pipeline\" applies only to the GPU round schemes (" +
-                           pipeline_schemes() + ")");
+      parse_fail(text,
+                 "\"+pipeline\" applies only to the hybrid schemes (" +
+                     pipeline_schemes() + ")");
     }
   };
   const auto reject_tt = [&]() {
@@ -282,19 +283,15 @@ SchemeSpec SchemeSpec::parse(std::string_view text) {
   }
   if (head == "leaf" || head == "leaf-gpu") {
     require_arg();
+    reject_pipeline();
     const auto d = parse_dims(text, rest, 2);
-    return leaf_gpu(d[0], d[1])
-        .with_pipeline(pipeline)
-        .with_pipeline_depth(pipeline_depth)
-        .with_tt(tt_mb);
+    return leaf_gpu(d[0], d[1]).with_tt(tt_mb);
   }
   if (head == "block" || head == "block-gpu") {
     require_arg();
+    reject_pipeline();
     const auto d = parse_dims(text, rest, 2);
-    return block_gpu(d[0], d[1])
-        .with_pipeline(pipeline)
-        .with_pipeline_depth(pipeline_depth)
-        .with_tt(tt_mb);
+    return block_gpu(d[0], d[1]).with_tt(tt_mb);
   }
   if (head == "hybrid") {
     require_arg();

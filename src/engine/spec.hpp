@@ -28,14 +28,13 @@
 //   "gpu-only:<blocks>x<tpb>"       hybrid plumbing, overlap disabled
 //   "dist:<ranks>x<blocks>x<tpb>"   distributed root parallelism
 //   ("distributed:..." is accepted as an alias for "dist:...".)
-// The leaf, block, hybrid, and gpu-only forms accept a
-// "+pipeline[:<depth>]" suffix — e.g. "block:112x128+pipeline" or
-// "leaf:4x64+pipeline:3" — enabling the stream-pipelined rounds of
-// DESIGN.md §10/§11 over <depth> streams (default 2, the legacy two-stream
-// ping-pong). For leaf and block, results are bit-identical with or without
-// it; hybrid overlaps CPU iterations against each in-flight cohort kernel.
+// The hybrid and gpu-only forms accept a "+pipeline[:<depth>]" suffix —
+// e.g. "hybrid:112x128+pipeline" or "hybrid:112x128+pipeline:3" — enabling
+// the stream-pipelined rounds of DESIGN.md §10 over <depth> stream cohorts
+// (default 2), with CPU iterations overlapped against each in-flight
+// cohort kernel. Leaf and block rounds are synchronous.
 // The seq, shared, leaf, block, hybrid, and gpu-only forms accept a
-// "+tt:<mb>" suffix — e.g. "seq+tt:64" or "block:112x128+pipeline+tt:64"
+// "+tt:<mb>" suffix — e.g. "seq+tt:64" or "hybrid:112x128+pipeline+tt:64"
 // (suffixes compose in any order) — attaching a shared transposition table
 // of <mb> megabytes to every tree of the searcher (DESIGN.md §16). Without
 // the suffix every scheme is bit-exact with a build that predates the
@@ -77,16 +76,14 @@ struct SchemeSpec {
   int ranks = 1;
   /// Hybrid: disable to get a GPU-only control with identical plumbing.
   bool cpu_overlap = true;
-  /// Leaf/block/hybrid GPU schemes: pipelined stream-overlapped rounds (the
-  /// "+pipeline[:<depth>]" spec suffix, --pipeline in the binaries). For
-  /// leaf and block, per-tree results and stats are bit-identical with this
-  /// on or off; it only buys wall-clock overlap between host phases and
-  /// kernels (DESIGN.md §10). For hybrid it overlaps CPU iterations against
-  /// each in-flight cohort kernel (DESIGN.md §11).
+  /// Hybrid (and gpu-only): pipelined rounds over stream cohorts, with CPU
+  /// iterations overlapped against each in-flight cohort kernel (the
+  /// "+pipeline[:<depth>]" spec suffix, DESIGN.md §10). The factory
+  /// rejects it for every other scheme.
   bool pipeline = false;
-  /// Stream cohorts per pipelined round (the ":<depth>" of the suffix);
-  /// 2 reproduces the legacy two-stream ping-pong bit-exactly. Clamped to
-  /// the device stream count and block count by the driver.
+  /// Stream cohorts per pipelined round (the ":<depth>" of the suffix,
+  /// default 2). Clamped to the device stream count and block count by the
+  /// driver.
   int pipeline_depth = 2;
   /// Shared transposition table size in megabytes (the "+tt:<mb>" spec
   /// suffix); 0 (the default) searches without one — bit-exact with the
@@ -153,13 +150,13 @@ struct SchemeSpec {
   /// Returns a copy with `exec_threads` replaced (the --exec-threads flag).
   [[nodiscard]] SchemeSpec with_exec_threads(int threads) const;
 
-  /// Returns a copy with `pipeline` set (the --pipeline flag). Only
-  /// meaningful for the leaf-gpu, block-gpu, and hybrid schemes.
+  /// Returns a copy with `pipeline` set. Only the hybrid scheme takes it;
+  /// make_searcher rejects it for leaf-gpu and block-gpu.
   [[nodiscard]] SchemeSpec with_pipeline(bool on = true) const;
 
   /// Returns a copy with `pipeline_depth` replaced (1..8; the
-  /// "+pipeline:<depth>" suffix / --pipeline-depth flag). Depth 1 runs
-  /// synchronous rounds even with `pipeline` set.
+  /// "+pipeline:<depth>" suffix). Depth 1 runs synchronous rounds even
+  /// with `pipeline` set.
   [[nodiscard]] SchemeSpec with_pipeline_depth(int depth) const;
 
   /// Returns a copy with `tt_mb` replaced (0..4096; the "+tt:<mb>" suffix,

@@ -1,6 +1,6 @@
 // Seeded chaos-soak episodes: randomized fault schedules (launch failures,
-// stalls, corrupt readbacks, genuine kernel hangs) x {leaf, block, hybrid}
-// x pipeline depths 1-3, with wall deadlines and cancellation at random
+// stalls, corrupt readbacks, genuine kernel hangs) x {leaf, block, hybrid at
+// pipeline depths 1-3}, with wall deadlines and cancellation at random
 // points — the supervision layer's torture track (DESIGN.md §12).
 //
 // One episode = one supervised choose_move under a configuration derived
@@ -40,7 +40,7 @@ namespace gpu_mcts::harness {
 struct ChaosEpisodeConfig {
   std::uint64_t seed = 0;
   std::string scheme;  ///< "leaf" | "block" | "hybrid"
-  int pipeline_depth = 1;
+  int pipeline_depth = 1;  ///< stream cohorts; >= 2 only for hybrid
   int opening_plies = 0;
   util::FaultPolicy faults;
   double virtual_seconds = 0.0;
@@ -70,7 +70,10 @@ struct ChaosOutcome {
     case 1: c.scheme = "block"; break;
     default: c.scheme = "hybrid"; break;
   }
-  c.pipeline_depth = 1 + static_cast<int>(rng.next_below(3));
+  // Drawn for every scheme, so each seed's later fields stay put; only
+  // hybrid rounds pipeline.
+  const int depth = 1 + static_cast<int>(rng.next_below(3));
+  c.pipeline_depth = c.scheme == "hybrid" ? depth : 1;
   c.opening_plies = static_cast<int>(rng.next_below(9));
   // Fault schedule: each knob is off ~half the time so fault-free and
   // single-fault episodes stay in the mix alongside full-storm ones.
@@ -134,25 +137,20 @@ struct ChaosOutcome {
   search.seed = seed;
   search.ucb_c = mcts::kBatchUcbC;
   std::unique_ptr<mcts::Searcher<G>> searcher;
-  const bool pipelined = c.pipeline_depth >= 2;
   if (c.scheme == "leaf") {
     parallel::LeafParallelGpuSearcher<G>::Options o;
     o.launch = launch;
-    o.pipeline = pipelined;
-    o.pipeline_depth = c.pipeline_depth;
     searcher = std::make_unique<parallel::LeafParallelGpuSearcher<G>>(
         o, search, std::move(gpu));
   } else if (c.scheme == "block") {
     parallel::BlockParallelGpuSearcher<G>::Options o;
     o.launch = launch;
-    o.pipeline = pipelined;
-    o.pipeline_depth = c.pipeline_depth;
     searcher = std::make_unique<parallel::BlockParallelGpuSearcher<G>>(
         o, search, std::move(gpu));
   } else {
     parallel::HybridSearcher<G>::Options o;
     o.launch = launch;
-    o.pipeline = pipelined;
+    o.pipeline = c.pipeline_depth >= 2;
     o.pipeline_depth = c.pipeline_depth;
     searcher = std::make_unique<parallel::HybridSearcher<G>>(o, search,
                                                              std::move(gpu));

@@ -11,11 +11,8 @@
 // extremum").
 //
 // Thin policy bundle over the RoundDriver engine (DESIGN.md §11): cohort
-// source (one tree per block), per-tree sink, CPU fallback (retry, per-
-// cohort abandonment, sequential degradation). Pipelined rounds
-// (Options::pipeline, DESIGN.md §10) rotate the tree set across
-// Options::pipeline_depth stream cohorts; every tree's evolution — results,
-// stats, virtual time — is bit-identical with pipelining on or off.
+// source (one tree per block), per-tree sink, CPU fallback (retry,
+// abandonment, sequential degradation). Rounds are synchronous.
 #pragma once
 
 #include <cstdint>
@@ -46,16 +43,8 @@ class BlockParallelGpuSearcher final : public mcts::Searcher<G> {
     /// under an enabled util::FaultInjector on the VirtualGpu).
     util::RetryPolicy retry{};
     /// Consecutive unrecoverable GPU rounds before the searcher stops
-    /// launching and degrades to CPU-only sequential iterations. In
-    /// pipelined mode the counter is per cohort: one cohort can abandon its
-    /// stream while the others keep launching.
+    /// launching and degrades to CPU-only sequential iterations.
     int max_failed_rounds = 2;
-    /// Pipelined rounds over pipeline_depth streams (requires at least two
-    /// blocks; ignored otherwise). Results, stats, and per-tree evolution
-    /// are bit-identical with this on or off.
-    bool pipeline = false;
-    /// Number of stream cohorts per pipelined round.
-    int pipeline_depth = 2;
   };
 
   using Driver = driver::CohortRoundDriver<G>;
@@ -66,10 +55,7 @@ class BlockParallelGpuSearcher final : public mcts::Searcher<G> {
       const Options& options, const mcts::SearchConfig& config,
       simt::VirtualGpu gpu) {
     return std::make_unique<Driver>(
-        typename Driver::Config{
-            .launch = options.launch,
-            .pipeline_depth = options.pipeline ? options.pipeline_depth : 1,
-            .mode = driver::SimulateMode::kSync},
+        typename Driver::Config{.launch = options.launch},
         typename driver::CohortTreesSource<G>::Options{
             .expansion_instant = true},
         typename driver::PerTreeSink<G>::Options{
@@ -83,9 +69,7 @@ class BlockParallelGpuSearcher final : public mcts::Searcher<G> {
 
   [[nodiscard]] static std::string name_for(const Options& options) {
     return "block-parallel GPU (" + std::to_string(options.launch.blocks) +
-           "x" + std::to_string(options.launch.threads_per_block) +
-           driver::pipeline_suffix(options.pipeline, options.pipeline_depth) +
-           ")";
+           "x" + std::to_string(options.launch.threads_per_block) + ")";
   }
 
   BlockParallelGpuSearcher(Options options, mcts::SearchConfig config = {},

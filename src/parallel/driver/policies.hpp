@@ -8,8 +8,8 @@
 //      - cohort sources (kSharedRoot == false): one tree per grid block;
 //        cohorts are contiguous tree ranges (block/hybrid parallelism);
 //      - shared-root sources (kSharedRoot == true): one tree whose selected
-//        leaf feeds the whole grid; pipeline slices share the root and tally
-//        into per-slice result slots (leaf parallelism).
+//        leaf feeds the whole grid, which tallies into one result slot
+//        (leaf parallelism).
 //  * RoundSink — how kernel tallies fold back into the trees: backprop
 //    (per-tree or summed) plus the per-tally stats/histogram observations.
 //  * FallbackPolicy — what happens when the device misbehaves: the retry
@@ -20,8 +20,8 @@
 //    tally (the leaf scheme's seed semantics).
 //
 // The driver owns everything else — cohort construction, stream rotation,
-// upload/launch/wait/download sequencing, dual-clock canonical charges, and
-// all remaining SearchStats/tracer bookkeeping (round_driver.hpp).
+// upload/launch/wait/download sequencing, and all remaining
+// SearchStats/tracer bookkeeping (round_driver.hpp).
 #pragma once
 
 #include <cstdint>
@@ -336,9 +336,8 @@ class PerTreeSink {
   Options options_;
 };
 
-/// Summed fold: all tally slots of the round recombine (in slot order — see
-/// parallel::sum_tallies for why order is load-bearing) into one aggregate
-/// backpropagated at the shared selected leaf.
+/// Summed fold: the kernel sums every lane of the grid into the round's one
+/// tally slot, backpropagated at the shared selected leaf.
 template <game::Game G>
 class SummedTallySink {
  public:
@@ -349,14 +348,14 @@ class SummedTallySink {
   void backprop(SharedLeafSource<G>& source, std::size_t /*begin*/,
                 std::size_t /*count*/,
                 std::span<const simt::BlockResult> tallies) {
-    const simt::BlockResult tally = sum_tallies(tallies);
+    const simt::BlockResult& tally = tallies[0];
     source.tree().backpropagate(source.selected_node(), tally.value_first,
                                 tally.simulations, tally.value_sq_first);
   }
 
   void observe(obs::Tracer* tracer, mcts::SearchStats& stats,
                std::span<const simt::BlockResult> tallies) {
-    const simt::BlockResult tally = sum_tallies(tallies);
+    const simt::BlockResult& tally = tallies[0];
     stats.simulations += tally.simulations;
     stats.gpu_simulations += tally.simulations;
     if (tracer != nullptr && tally.simulations > 0) {

@@ -1,26 +1,23 @@
-// RoundDriver: the one pipelined GPU round engine behind every parallel
-// scheme (DESIGN.md §11). A scheme — leaf, block, hybrid — is a policy
-// bundle (RoundSource × RoundSink × FallbackPolicy, policies.hpp) plus a
-// Config; the driver owns everything those schemes used to duplicate:
+// RoundDriver: the one GPU round engine behind every parallel scheme
+// (DESIGN.md §11). A scheme — leaf, block, hybrid — is a policy bundle
+// (RoundSource × RoundSink × FallbackPolicy, policies.hpp) plus a Config;
+// the driver owns everything those schemes used to duplicate:
 //
 //  * the round loop and deadline decisions, resumable round by round so
 //    standalone and served search (serve::SearchService) share one engine,
-//  * cohort construction and N-way stream rotation (Config::pipeline_depth
-//    generalizes the two-stream ping-pong; depth 2 is bit-exact to it),
+//  * the hybrid scheme's N-way stream rotation (Config::pipeline_depth
+//    cohorts, CPU iterations overlapped against each in-flight kernel),
 //  * upload/launch/wait/download sequencing, enqueue-time fault surfacing,
 //    retry, per-cohort abandonment, and CPU degradation,
-//  * the dual-clock canonical charges of pipelined rounds,
 //  * and all SearchStats / obs::Tracer bookkeeping.
 //
-// Determinism of the N-way rotation (the argument DESIGN.md §11 spells out):
-// cohort grids are block_offset slices of the one logical grid, so the union
-// of their lanes — identities, RNG streams, SM placement — is exactly the
-// covering synchronous launch's; each tree's rounds stay totally ordered
-// inside its cohort; and stats/tracer folds run on the controlling thread in
-// cohort-then-tree order. Virtual time is either charged canonically (the
-// fault-free dual-clock mode advances the main clock once per round by the
-// exact synchronous totals) or honestly (faults, and the hybrid overlap,
-// where the interleaved schedule *is* the timeline).
+// Determinism of the N-way rotation (DESIGN.md §10): cohort grids are
+// block_offset slices of the one logical grid, so the union of their lanes
+// — identities, RNG streams, SM placement — is exactly the covering
+// synchronous launch's; each tree's rounds stay totally ordered inside its
+// cohort; and stats/tracer folds run on the controlling thread in
+// cohort-then-tree order. The interleaved schedule of overlap iterations
+// and cohort kernels is the one virtual timeline.
 #pragma once
 
 #include <algorithm>
@@ -50,15 +47,6 @@
 
 namespace gpu_mcts::parallel::driver {
 
-/// Human-readable scheme-name suffix for a pipelined configuration — the
-/// seed spelling for the legacy two-stream depth, an explicit depth
-/// otherwise ("" / ", pipelined" / ", pipelined:3").
-[[nodiscard]] inline std::string pipeline_suffix(bool pipeline, int depth) {
-  if (!pipeline) return "";
-  if (depth == 2) return ", pipelined";
-  return ", pipelined:" + std::to_string(depth);
-}
-
 /// How a round's kernel time is spent on the host side.
 enum class SimulateMode {
   /// Launch and block: the host idles for the kernel's duration.
@@ -79,8 +67,9 @@ class RoundDriver {
   struct Config {
     simt::LaunchConfig launch;
     /// Number of stream cohorts per round. 1 = synchronous rounds; >= 2
-    /// rotates the round across that many VirtualGpu streams (clamped to
-    /// kMaxStreams and the block count — a 1-block grid cannot split).
+    /// (kAsyncOverlap cohort rounds only) rotates the round across that many
+    /// VirtualGpu streams (clamped to kMaxStreams and the block count — a
+    /// 1-block grid cannot split).
     int pipeline_depth = 1;
     SimulateMode mode = SimulateMode::kSync;
     /// kAsyncOverlap only: when false the host idles during kernel
@@ -98,6 +87,12 @@ class RoundDriver {
         gpu_(std::move(gpu)) {
     simt::validate(config_.launch, gpu_.device());
     util::expects(config_.pipeline_depth >= 1, "pipeline depth positive");
+    // Streams only pay where CPU work runs beside the grid: every other
+    // round shape is synchronous.
+    util::expects(config_.pipeline_depth == 1 ||
+                      (config_.mode == SimulateMode::kAsyncOverlap &&
+                       !SourceT::kSharedRoot),
+                  "only kAsyncOverlap cohort rounds pipeline");
   }
 
   /// Cohorts a round actually splits into (1 = synchronous).
@@ -182,19 +177,8 @@ class RoundDriver {
         s.results->set_retry_policy(fallback_.options().retry);
       }
     }
-    // Two timelines (DESIGN.md §10). The overlap clock is the honest
-    // overlapped schedule of a pipelined round. Without faults, in kSync
-    // mode, the *main* clock instead advances once per round by exactly the
-    // synchronous round total — the canonical timeline that keeps deadline
-    // decisions, and therefore every result and stat, bit-identical with
-    // pipelining off. Under faults (retries and fallbacks restructure the
-    // round) and in kAsyncOverlap mode (overlap iterations are real host
-    // work) the honest schedule is the only schedule, so pipe() is the
-    // main clock.
     const int depth = effective_depth();
     s.pipelined = depth >= 2;
-    s.dual_clock = s.pipelined && !gpu_.fault_injector().enabled() &&
-                   config_.mode == SimulateMode::kSync;
     if (s.pipelined) {
       gpu_.reset_stream_timeline();
       // Cohort c covers [c*B/D, (c+1)*B/D) of the logical grid on stream c
@@ -225,7 +209,7 @@ class RoundDriver {
     // Shared-root kernel I/O is likewise persistent across rounds.
     if constexpr (SourceT::kSharedRoot) {
       s.shared_root.emplace(1);
-      s.shared_result.emplace(s.pipelined ? s.cohorts.size() : 1);
+      s.shared_result.emplace(1);
     }
 
     s.gpu_track = config_.mode == SimulateMode::kAsyncOverlap &&
@@ -344,7 +328,7 @@ class RoundDriver {
   static constexpr int kHostTrack = obs::Tracer::kHostTrack;
 
   struct Cohort {
-    std::size_t begin = 0;  ///< first tree (cohort) / first block (slice)
+    std::size_t begin = 0;  ///< first tree
     std::size_t count = 0;
     int stream = 0;
     simt::LaunchConfig cfg;
@@ -359,21 +343,13 @@ class RoundDriver {
            double clock_hz)
         : stop(budget, extra_cancel),
           clock(clock_hz),
-          overlap_clock(clock_hz),
           deadline(clock.to_cycles(budget.virtual_seconds)),
           supervised(budget.wall_ms.has_value() || budget.cancel != nullptr ||
                      budget.stop_on_tree_saturation),
           stop_on_tree_saturation(budget.stop_on_tree_saturation) {}
 
-    /// The honest timeline of a pipelined round: the overlap clock in
-    /// dual-clock mode, else the main clock.
-    [[nodiscard]] util::VirtualClock& pipe() noexcept {
-      return dual_clock ? overlap_clock : clock;
-    }
-
     mcts::StopCheck stop;
     util::VirtualClock clock;
-    util::VirtualClock overlap_clock;
     std::uint64_t deadline;
     /// Supervision (DESIGN.md §12): the budget's own bounds only.
     bool supervised;
@@ -381,7 +357,6 @@ class RoundDriver {
     std::uint64_t search_seed = 0;
     std::size_t trees_n = 1;
     bool pipelined = false;
-    bool dual_clock = false;
     int gpu_track = 0;
     std::optional<simt::DeviceBuffer<typename G::State>> roots;
     std::optional<simt::DeviceBuffer<simt::BlockResult>> results;
@@ -412,18 +387,12 @@ class RoundDriver {
   /// One full round and its bookkeeping: the body run() loops over.
   void step() {
     begin_round();
-    if (search_->pipelined) {
-      if constexpr (SourceT::kSharedRoot) {
-        pipelined_shared_round();
-      } else {
-        pipelined_cohort_round();
-      }
+    if constexpr (SourceT::kSharedRoot) {
+      shared_sync_round();
+    } else if (search_->pipelined) {
+      pipelined_cohort_round();
     } else {
-      if constexpr (SourceT::kSharedRoot) {
-        shared_sync_round();
-      } else {
-        cohort_sync_round();
-      }
+      cohort_sync_round();
     }
     end_round();
   }
@@ -709,17 +678,15 @@ class RoundDriver {
     }
   }
 
-  // ---- Pipelined cohort round (block / hybrid over N streams) ------------
+  // ---- Pipelined cohort round (hybrid over N streams) --------------------
   //
   // select c0 -> enqueue c0 -> select c1 (overlaps kernel c0) -> enqueue
-  // c1 -> ... -> wait c0 -> backprop c0 (overlaps the later kernels) ->
-  // wait c1 -> ... Per-cohort fault recovery; kAsyncOverlap additionally
-  // runs CPU iterations against each cohort's peeked completion before
-  // waiting on it.
+  // c1 -> ... -> CPU iterations until c0's peeked completion -> wait c0 ->
+  // backprop c0 (overlaps the later kernels) -> ... Per-cohort fault
+  // recovery.
   void pipelined_cohort_round() {
     Search& s = *search_;
     util::VirtualClock& clock = s.clock;
-    util::VirtualClock& pipe = s.pipe();
     std::vector<simt::StreamTicket>& tickets = s.round_tickets;
     std::vector<simt::StreamLaunch>& launches = s.round_launches;
     std::vector<std::uint8_t>& enqueued = s.round_enqueued;
@@ -744,9 +711,9 @@ class RoundDriver {
     // disjoint element ranges.
     const auto enqueue_cohort = [&](const Cohort& c) {
       {
-        obs::ScopedSpan span(tracer_, kHostTrack, "upload", pipe,
+        obs::ScopedSpan span(tracer_, kHostTrack, "upload", clock,
                              {{"cohort", static_cast<double>(c.stream)}});
-        s.roots->upload_range(pipe, c.begin, c.count);
+        s.roots->upload_range(clock, c.begin, c.count);
       }
       zero_cohort_results(c);
       s.kernels[static_cast<std::size_t>(c.stream)].emplace(
@@ -754,7 +721,7 @@ class RoundDriver {
           s.round, s.results->device_view_partial(c.begin, c.count));
       return gpu_.launch_on(c.stream, c.cfg,
                             *s.kernels[static_cast<std::size_t>(c.stream)],
-                            pipe);
+                            clock);
     };
 
     // Waits for one cohort's kernel and backpropagates its tallies. Attempt
@@ -767,30 +734,30 @@ class RoundDriver {
       bool launched = false;
       {
         obs::ScopedSpan span(
-            tracer_, kHostTrack, "kernel", pipe,
+            tracer_, kHostTrack, "kernel", clock,
             {{"blocks", static_cast<double>(c.cfg.blocks)},
              {"block_offset", static_cast<double>(c.cfg.block_offset)},
              {"threads_per_block",
               static_cast<double>(c.cfg.threads_per_block)}});
         launched = util::with_retry(
-            fallback_.options().retry, pipe, &fault_log(), [&](int attempt) {
+            fallback_.options().retry, clock, &fault_log(), [&](int attempt) {
               if (attempt > 0) {
                 zero_cohort_results(c);
                 ticket = gpu_.launch_on(
                     c.stream, c.cfg,
-                    *s.kernels[static_cast<std::size_t>(c.stream)], pipe);
+                    *s.kernels[static_cast<std::size_t>(c.stream)], clock);
               }
-              out = supervised_wait(ticket, pipe);
+              out = supervised_wait(ticket, clock);
               return out.result.ok();
             });
       }
       if (!launched) return false;
       {
-        obs::ScopedSpan span(tracer_, kHostTrack, "download", pipe,
+        obs::ScopedSpan span(tracer_, kHostTrack, "download", clock,
                              {{"cohort", static_cast<double>(c.stream)}});
-        s.results->download_range(pipe, c.begin, c.count);
+        s.results->download_range(clock, c.begin, c.count);
       }
-      obs::ScopedSpan span(tracer_, kHostTrack, "backprop", pipe,
+      obs::ScopedSpan span(tracer_, kHostTrack, "backprop", clock,
                            {{"cohort", static_cast<double>(c.stream)}});
       sink_.backprop(source_, c.begin, c.count,
                      s.results->host_checked_range(c.begin, c.count));
@@ -800,7 +767,7 @@ class RoundDriver {
     // Degradation without stalling the other cohorts: a failed (or
     // abandoned) cohort's trees each get one CPU iteration this round.
     const auto cohort_fallback = [&](const Cohort& c) {
-      obs::ScopedSpan span(tracer_, kHostTrack, "cpu_fallback", pipe,
+      obs::ScopedSpan span(tracer_, kHostTrack, "cpu_fallback", clock,
                            {{"cohort", static_cast<double>(c.stream)}});
       for (std::size_t i = 0; i < c.count && clock.cycles() < s.deadline &&
                               !s.stop.should_stop();
@@ -815,7 +782,7 @@ class RoundDriver {
       // Cohort boundary: once the search decides to stop, later cohorts are
       // not enqueued (the ones already in flight are drained below).
       if (s.stop.should_stop()) break;
-      source_.select(tracer_, pipe, gpu_.cost(), s.roots->host(),
+      source_.select(tracer_, clock, gpu_.cost(), s.roots->host(),
                      c.begin, c.count, c.stream);
       try {
         tickets[static_cast<std::size_t>(c.stream)] = enqueue_cohort(c);
@@ -831,23 +798,22 @@ class RoundDriver {
       // Cohort boundary: every enqueued ticket is still waited (the stream
       // FIFO must drain, and its results only sharpen the final move), but
       // a stopping search skips the optional overlap work.
-      const bool draining = s.stop.should_stop();
-      if (!draining && config_.mode == SimulateMode::kAsyncOverlap) {
-        // Hybrid overlap against this cohort's kernel: CPU iterations until
+      if (!s.stop.should_stop()) {
+        // Overlap against this cohort's kernel: CPU iterations until
         // its peeked completion cycle. Earlier cohorts were already retired
         // in rotation order, so the peek is exact; a failed launch peeks as
         // its enqueue cycle and the loop runs zero iterations (the failure
         // surfaces at wait below).
         const std::uint64_t completion = gpu_.peek_completion(tickets[i]);
         const std::uint64_t overlap_start = stats_.cpu_iterations;
-        obs::ScopedSpan span(tracer_, kHostTrack, "cpu_overlap", pipe,
+        obs::ScopedSpan span(tracer_, kHostTrack, "cpu_overlap", clock,
                              {{"cohort", static_cast<double>(c.stream)}});
-        while (config_.cpu_overlap && pipe.cycles() < completion) {
-          fallback_.iterate_rotating(source_, pipe, gpu_.cost(), stats_,
+        while (config_.cpu_overlap && clock.cycles() < completion) {
+          fallback_.iterate_rotating(source_, clock, gpu_.cost(), stats_,
                                      tracer_);
         }
         if (tracer_ != nullptr) {
-          tracer_->counter(kHostTrack, "overlap_iterations", pipe.cycles(),
+          tracer_->counter(kHostTrack, "overlap_iterations", clock.cycles(),
                            static_cast<double>(stats_.cpu_iterations -
                                                overlap_start));
         }
@@ -879,26 +845,11 @@ class RoundDriver {
       const simt::LaunchStats agg =
           simt::aggregate_stats(s.round_traces, gpu_.device());
       if (tracer_ != nullptr) {
-        tracer_->counter(kHostTrack, "divergence", pipe.cycles(),
+        tracer_->counter(kHostTrack, "divergence", clock.cycles(),
                          agg.divergence_waste());
       }
       s.waste_sum += agg.divergence_waste();
       stats_.gpu_rounds += 1;
-    }
-    if (s.dual_clock) {
-      // Canonical charge: selection for every tree + full-buffer upload +
-      // one launch overhead + device time of the combined traces + full
-      // readback — term for term the synchronous round's clock advances.
-      const double combined_cycles = simt::device_cycles_for(
-          s.round_traces, config_.launch, gpu_.device(), gpu_.cost());
-      clock.advance(
-          s.trees_n *
-              static_cast<std::uint64_t>(gpu_.cost().host_tree_op_cycles) +
-          s.roots->costs().cost(s.roots->bytes()) +
-          gpu_.launch_overhead_cycles() +
-          static_cast<std::uint64_t>(gpu_.cost().device_to_host_cycles(
-              combined_cycles, gpu_.device(), gpu_.host())) +
-          s.results->costs().cost(s.results->bytes()));
     }
     // A stopping round skips the failure bookkeeping and degradation batch:
     // abandonment is a policy about *future* rounds, and there are none.
@@ -927,92 +878,6 @@ class RoundDriver {
       if (tracer_ != nullptr) {
         tracer_->instant(kHostTrack, "gpu_abandoned", clock.cycles());
       }
-    }
-  }
-
-  // ---- Pipelined shared-root round (leaf-parallel sliced grid) -----------
-  //
-  // A single tree gives each round a strict select -> simulate -> backprop
-  // dependency, so nothing can double-buffer *across* rounds without
-  // changing results. Instead the round's grid splits into D block_offset
-  // slices on D streams; each slice tallies into its own slot, and the
-  // slot-order sum reproduces the covering launch's accumulation bit for
-  // bit (sum_tallies in merge.hpp).
-  void pipelined_shared_round() {
-    Search& s = *search_;
-    util::VirtualClock& pipe = s.pipe();
-    const bool terminal = source_.select(tracer_, pipe, gpu_.cost());
-    if (s.dual_clock) {
-      // Canonical charge for the selection the overlapped timeline paid.
-      s.clock.advance(
-          static_cast<std::uint64_t>(gpu_.cost().host_tree_op_cycles));
-    }
-    if (terminal) {
-      source_.shortcut(stats_);
-      return;
-    }
-    // One root up (shared by all slices), one tally slot per slice down,
-    // through the search-persistent buffers.
-    simt::DeviceBuffer<typename G::State>& root = *s.shared_root;
-    simt::DeviceBuffer<simt::BlockResult>& result = *s.shared_result;
-    root.host()[0] = source_.selected_state();
-    {
-      obs::ScopedSpan span(tracer_, kHostTrack, "upload", pipe);
-      root.upload(pipe);
-    }
-    const std::span<simt::BlockResult> device_result = result.device_view();
-    for (auto& slot : device_result) slot = simt::BlockResult{};
-    // Each slice is a block_offset slice, so its lanes carry the same
-    // identities and RNG streams the covering launch would hand them.
-    for (const Cohort& c : s.cohorts) {
-      const auto i = static_cast<std::size_t>(c.stream);
-      s.kernels[i].emplace(root.device_view(), s.search_seed, s.round,
-                           device_result.subspan(i, 1));
-      s.round_tickets[i] = gpu_.launch_on(c.stream, c.cfg, *s.kernels[i], pipe);
-    }
-    s.round_traces.clear();
-    for (const Cohort& c : s.cohorts) {
-      const simt::StreamLaunch done = supervised_wait(
-          s.round_tickets[static_cast<std::size_t>(c.stream)], pipe);
-      // Fault-oblivious like the synchronous path: a failed slice left its
-      // zeroed slot untouched and contributes nothing to the tally.
-      if (done.result.ok()) {
-        s.round_traces.insert(s.round_traces.end(), done.traces.begin(),
-                              done.traces.end());
-      }
-    }
-    {
-      obs::ScopedSpan span(tracer_, kHostTrack, "download", pipe);
-      for (const Cohort& c : s.cohorts) {
-        result.download_range(pipe, static_cast<std::size_t>(c.stream), 1);
-      }
-    }
-    const std::span<const simt::BlockResult> tallies =
-        result.host_checked_range(0, s.cohorts.size());
-    {
-      obs::ScopedSpan span(tracer_, kHostTrack, "backprop", pipe);
-      sink_.backprop(source_, 0, s.cohorts.size(), tallies);
-    }
-    const simt::LaunchStats agg =
-        simt::aggregate_stats(s.round_traces, gpu_.device());
-    sink_.observe(tracer_, stats_, tallies);
-    stats_.gpu_rounds += 1;
-    s.waste_sum += agg.divergence_waste();
-    if (tracer_ != nullptr) {
-      tracer_->counter(kHostTrack, "divergence", pipe.cycles(),
-                       agg.divergence_waste());
-    }
-    if (s.dual_clock) {
-      // Canonical charge: full-root upload + one launch overhead + device
-      // time of the combined slice traces + a single-tally readback — term
-      // for term the synchronous round's advances.
-      const double combined_cycles = simt::device_cycles_for(
-          s.round_traces, config_.launch, gpu_.device(), gpu_.cost());
-      s.clock.advance(
-          root.costs().cost(root.bytes()) + gpu_.launch_overhead_cycles() +
-          static_cast<std::uint64_t>(gpu_.cost().device_to_host_cycles(
-              combined_cycles, gpu_.device(), gpu_.host())) +
-          result.costs().cost(sizeof(simt::BlockResult)));
     }
   }
 

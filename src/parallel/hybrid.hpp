@@ -11,10 +11,11 @@
 // Thin policy bundle over the RoundDriver engine (DESIGN.md §11): the same
 // cohort source and CPU-iteration engine as the block scheme, run in
 // kAsyncOverlap mode — the fallback policy's iterations double as the
-// overlap work. Pipelined rounds (Options::pipeline — a configuration the
-// pre-driver architecture could not express) rotate the trees across
-// pipeline_depth stream cohorts and overlap CPU iterations against each
-// in-flight cohort kernel on the one honest timeline.
+// overlap work. Pipelined rounds (Options::pipeline, DESIGN.md §10) rotate
+// the trees across pipeline_depth stream cohorts and overlap CPU iterations
+// against each in-flight cohort kernel, in wall time as well as virtual
+// time; the synchronous round's overlap is virtual only (VirtualGpu::
+// launch_async runs the grid before the CPU iterations start).
 #pragma once
 
 #include <cstdint>
@@ -90,12 +91,17 @@ class HybridSearcher final : public mcts::Searcher<G> {
   }
 
   [[nodiscard]] std::string name() const override {
+    // Depth 2 keeps the seed's bare ", pipelined" spelling.
+    std::string pipelined;
+    if (options_.pipeline) {
+      const int depth = options_.pipeline_depth;
+      pipelined = depth == 2 ? ", pipelined"
+                             : ", pipelined:" + std::to_string(depth);
+    }
     return std::string(options_.cpu_overlap ? "hybrid CPU+GPU ("
                                             : "block-parallel GPU-only (") +
            std::to_string(options_.launch.blocks) + "x" +
-           std::to_string(options_.launch.threads_per_block) +
-           driver::pipeline_suffix(options_.pipeline,
-                                   options_.pipeline_depth) +
+           std::to_string(options_.launch.threads_per_block) + pipelined +
            ")";
   }
 

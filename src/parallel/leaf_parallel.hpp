@@ -5,12 +5,9 @@
 // saturates (Figure 6: win ratio stalls near 0.75 at ~1024 threads).
 //
 // Thin policy bundle over the RoundDriver engine (DESIGN.md §11):
-// shared-root source (one tree feeds the whole grid), summed sink (slice
-// tallies recombine in slot order — bit-identical to the covering launch),
-// no fallback (rounds are fault-oblivious: a failed launch contributes a
-// zero tally). Pipelined rounds (Options::pipeline, DESIGN.md §10) slice
-// each round's grid across Options::pipeline_depth streams; results and
-// stats are bit-identical with pipelining on or off at any depth.
+// shared-root source (one tree feeds the whole grid), summed sink (the grid
+// tallies into one slot), no fallback (rounds are fault-oblivious: a failed
+// launch contributes a zero tally). Rounds are synchronous.
 #pragma once
 
 #include <cstdint>
@@ -32,22 +29,13 @@ class LeafParallelGpuSearcher final : public mcts::Searcher<G> {
   struct Options {
     /// Grid geometry; the paper's leaf experiments use block size 64.
     simt::LaunchConfig launch{.blocks = 1, .threads_per_block = 64};
-    /// Split each round's grid across pipeline_depth concurrent streams
-    /// (requires at least two blocks; ignored otherwise). Results and stats
-    /// are bit-identical with this on or off.
-    bool pipeline = false;
-    /// Number of grid slices (streams) per pipelined round.
-    int pipeline_depth = 2;
   };
 
   LeafParallelGpuSearcher(Options options, mcts::SearchConfig config = {},
                           simt::VirtualGpu gpu = simt::VirtualGpu())
       : options_(options),
-        driver_({.launch = options.launch,
-                 .pipeline_depth = options.pipeline ? options.pipeline_depth
-                                                    : 1,
-                 .mode = driver::SimulateMode::kSync},
-                {}, {}, {}, config, std::move(gpu)),
+        driver_({.launch = options.launch}, {}, {}, {}, config,
+                std::move(gpu)),
         seed_(config.seed) {}
 
   using mcts::Searcher<G>::choose_move;
@@ -66,10 +54,7 @@ class LeafParallelGpuSearcher final : public mcts::Searcher<G> {
 
   [[nodiscard]] std::string name() const override {
     return "leaf-parallel GPU (" + std::to_string(options_.launch.blocks) +
-           "x" + std::to_string(options_.launch.threads_per_block) +
-           driver::pipeline_suffix(options_.pipeline,
-                                   options_.pipeline_depth) +
-           ")";
+           "x" + std::to_string(options_.launch.threads_per_block) + ")";
   }
 
   void reseed(std::uint64_t seed) override {

@@ -6,36 +6,13 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <vector>
 
 #include "game/game_traits.hpp"
 #include "mcts/tree.hpp"
-#include "simt/playout_kernel.hpp"
 #include "util/check.hpp"
 
 namespace gpu_mcts::parallel {
-
-/// Recombines per-slot kernel tallies into one aggregate, in slot order —
-/// the shared helper behind the leaf scheme's sliced-grid half-sums and the
-/// driver's summed sink. Order is load-bearing for the floating-point sums'
-/// reproducibility guarantee: slices are block_offset partitions of one
-/// logical grid, so slot-order addition walks the lanes in the same order
-/// the covering synchronous launch accumulates them. (Playout values are
-/// dyadic rationals — 0, 0.5, 1 — whose partial sums are exact in a double,
-/// so any contiguous split regrouped this way is bit-identical to the
-/// unsplit launch; see DESIGN.md §10/§11.)
-[[nodiscard]] inline simt::BlockResult sum_tallies(
-    std::span<const simt::BlockResult> tallies) {
-  simt::BlockResult sum{};
-  for (const simt::BlockResult& t : tallies) {
-    sum.value_first += t.value_first;
-    sum.value_sq_first += t.value_sq_first;
-    sum.simulations += t.simulations;
-    sum.total_plies += t.total_plies;
-  }
-  return sum;
-}
 
 /// Accumulated statistics for one candidate root move across trees.
 template <typename MoveT>

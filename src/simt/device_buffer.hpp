@@ -12,7 +12,7 @@
 //
 // Dirtiness is tracked per element, and upload_range()/download_range()
 // move just a slice, charging the clock for that slice's bytes only. This
-// is what lets the pipelined searchers (DESIGN.md §10) stage one cohort's
+// is what lets the pipelined hybrid round (DESIGN.md §10) stage one cohort's
 // slots while a kernel is still in flight over the other cohort's —
 // transfers and kernels touch disjoint element ranges, so the split is safe
 // and the discipline check stays exact per slot.

@@ -18,7 +18,7 @@ namespace gpu_mcts::simt {
 /// `block_offset + local_block`. Two launches covering [0, k) and [k, n)
 /// therefore execute exactly the lanes — same RNG streams, same root/result
 /// slots, same SM placement — that one launch of n blocks would, which is
-/// what lets the pipelined searchers split a round across streams without
+/// what lets the pipelined hybrid round split across streams without
 /// changing any tree's evolution (DESIGN.md §10).
 struct LaunchConfig {
   int blocks = 1;

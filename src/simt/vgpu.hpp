@@ -6,12 +6,15 @@
 // LaunchResult; asynchronous launches return an Event carrying the host-clock
 // cycle at which the device will signal completion, enabling the paper's
 // hybrid CPU/GPU overlap (Figure 4: "kernel execution call ... cpu can work
-// here ... gpu ready event").
+// here ... gpu ready event"). launch_async runs the grid eagerly on the
+// caller before it returns, so the CPU iterations the synchronous hybrid
+// round runs "during" the kernel follow it in wall time: that overlap is
+// virtual only.
 //
 // Streams (DESIGN.md §10): launch_on enqueues a kernel on one of a small
-// pool of streams, each backed by a dedicated worker thread, so launches on
-// different streams execute concurrently on the host while the controlling
-// thread keeps doing tree work — real wall-clock overlap. Modeled time is
+// pool of streams, each backed by a dedicated worker thread, so the
+// pipelined hybrid round's CPU iterations run beside its in-flight cohort
+// kernels — overlap in wall time as well as virtual time. Modeled time is
 // settled at wait(): the single modeled device retires stream kernels in
 // wait order (start = max(enqueue, previous completion)), and per-stream
 // "gpu.s<k>" trace tracks make the overlap visible in Chrome traces.
@@ -86,9 +89,8 @@ struct StreamTicket {
 
 /// A completed stream launch, returned by VirtualGpu::wait(). Carries the
 /// raw warp traces so callers that split one logical grid across streams
-/// (pipelined searchers) can re-derive the *combined* launch's device time
-/// and divergence — the timing model is not additive across slices
-/// (occupancy changes), so per-slice results alone would mis-charge.
+/// (the pipelined hybrid round) can fold the *combined* launch's divergence
+/// — the statistics are not additive across slices.
 struct StreamLaunch {
   LaunchResult result;
   std::vector<WarpTrace> traces;
@@ -345,10 +347,13 @@ class VirtualGpu {
     return out;
   }
 
-  /// Asynchronous launch: the kernel body runs immediately (results are
-  /// deterministic and do not depend on host progress), but the host clock is
-  /// only charged the call overhead. The returned Event tells the caller when
-  /// the device is done; wait_for() advances the host clock to that point.
+  /// Asynchronous launch: the grid runs to completion on the calling thread
+  /// (and the worker pool) before this returns — results are deterministic
+  /// and do not depend on host progress — but the host clock is only
+  /// charged the call overhead. The returned Event tells the caller when the
+  /// device is done in virtual time; wait_for() advances the host clock to
+  /// that point. CPU work the caller does before wait_for() overlaps the
+  /// kernel on the virtual clock only: in wall time it follows the grid.
   ///
   /// An injected launch failure surfaces at the event: the Event completes
   /// immediately with result.status == kFailed (a real driver reports the
@@ -414,9 +419,9 @@ class VirtualGpu {
 
   /// Enqueues the kernel on a stream and returns a ticket without blocking.
   /// Unlike launch_async (which executes eagerly on the caller), the grid
-  /// runs on the stream's dedicated worker thread — launches on *different*
-  /// streams execute concurrently on the host, which is where the pipelined
-  /// searchers get their wall-clock overlap. Launches on one stream run in
+  /// runs on the stream's dedicated worker thread, concurrently with the
+  /// caller — which is where the pipelined hybrid round gets its wall-clock
+  /// overlap. Launches on one stream run in
   /// issue order, and wait() must consume a stream's tickets in that order.
   ///
   /// The kernel object is captured by reference: it must stay alive, and its
@@ -578,7 +583,7 @@ class VirtualGpu {
   /// future is resolved (and cached, so the eventual wait() is non-blocking)
   /// to learn the kernel's modeled duration. The device timeline is not
   /// touched — callers that retire tickets in rotation order (the pipelined
-  /// searchers) have already waited every earlier kernel, so
+  /// hybrid round) have already waited every earlier kernel, so
   /// max(enqueue, device_busy_until) + duration is exact.
   [[nodiscard]] std::uint64_t peek_completion(const StreamTicket& ticket) {
     StreamSet& streams = stream_set();

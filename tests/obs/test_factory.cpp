@@ -115,15 +115,15 @@ TEST(SchemeSpecParse, BatchSchemesGetTheSmallUcbConstant) {
 }
 
 TEST(SchemeSpecParse, PipelineSuffixTakesOptionalDepth) {
-  const SchemeSpec legacy = SchemeSpec::parse("block:8x32+pipeline");
-  EXPECT_TRUE(legacy.pipeline);
-  EXPECT_EQ(legacy.pipeline_depth, 2);  // bare suffix = two-stream ping-pong
+  const SchemeSpec bare = SchemeSpec::parse("hybrid:8x32+pipeline");
+  EXPECT_TRUE(bare.pipeline);
+  EXPECT_EQ(bare.pipeline_depth, 2);  // bare suffix = two stream cohorts
 
-  const SchemeSpec deep = SchemeSpec::parse("leaf:4x64+pipeline:3");
+  const SchemeSpec deep = SchemeSpec::parse("gpu-only:4x64+pipeline:3");
   EXPECT_TRUE(deep.pipeline);
   EXPECT_EQ(deep.pipeline_depth, 3);
 
-  const SchemeSpec sync = SchemeSpec::parse("block:8x32+pipeline:1");
+  const SchemeSpec sync = SchemeSpec::parse("hybrid:8x32+pipeline:1");
   EXPECT_TRUE(sync.pipeline);
   EXPECT_EQ(sync.pipeline_depth, 1);  // depth 1 runs the synchronous path
 
@@ -151,11 +151,11 @@ TEST(SchemeSpecParse, TtSuffixSetsTableMegabytes) {
 
   // Suffixes compose in either order; canonical order is pipeline-then-tt.
   for (const char* text :
-       {"block:8x32+pipeline+tt:64", "block:8x32+tt:64+pipeline"}) {
+       {"hybrid:8x32+pipeline+tt:64", "hybrid:8x32+tt:64+pipeline"}) {
     const SchemeSpec spec = SchemeSpec::parse(text);
     EXPECT_TRUE(spec.pipeline) << text;
     EXPECT_EQ(spec.tt_mb, 64) << text;
-    EXPECT_EQ(spec.to_string(), "block:8x32+pipeline+tt:64") << text;
+    EXPECT_EQ(spec.to_string(), "hybrid:8x32+pipeline+tt:64") << text;
   }
   EXPECT_EQ(SchemeSpec::parse("gpu-only:8x32+tt:16").tt_mb, 16);
   EXPECT_EQ(SchemeSpec::parse("leaf:4x64+tt:1").tt_mb, 1);
@@ -174,9 +174,10 @@ TEST(SchemeSpecParse, RejectsBadTtSuffixes) {
 TEST(SchemeSpecParse, RejectsBadPipelineSuffixes) {
   for (const char* text :
        {"root:4+pipeline", "tree:4+pipeline", "dist:2x8x32+pipeline",
-        "seq+pipeline", "block:8x32+pipeline:0", "block:8x32+pipeline:9",
-        "block:8x32+pipeline:x", "block:8x32+pipeline:",
-        "block:8x32+pipelined", "block:8x32+turbo"}) {
+        "seq+pipeline", "leaf:4x64+pipeline", "block:8x32+pipeline",
+        "hybrid:8x32+pipeline:0", "hybrid:8x32+pipeline:9",
+        "hybrid:8x32+pipeline:x", "hybrid:8x32+pipeline:",
+        "hybrid:8x32+pipelined", "hybrid:8x32+turbo"}) {
     EXPECT_THROW((void)SchemeSpec::parse(text), std::invalid_argument) << text;
   }
 }
@@ -187,8 +188,7 @@ TEST(SchemeSpecParse, MisplacedPipelineNamesTheSchemesThatTakeIt) {
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("leaf, block, hybrid, gpu-only"), std::string::npos)
-        << what;
+    EXPECT_NE(what.find("(hybrid, gpu-only)"), std::string::npos) << what;
   }
 }
 
@@ -220,8 +220,8 @@ constexpr const char* kGrammar =
     "expected one of: seq[+tt:<mb>] | flat | root:<threads> | "
     "tree:<workers>[:vl=<loss>] | "
     "shared:<workers>[:vl=<loss>][:wu][+tt:<mb>] | "
-    "leaf:<blocks>x<tpb>[+pipeline[:<depth>]][+tt:<mb>] | "
-    "block:<blocks>x<tpb>[+pipeline[:<depth>]][+tt:<mb>] | "
+    "leaf:<blocks>x<tpb>[+tt:<mb>] | "
+    "block:<blocks>x<tpb>[+tt:<mb>] | "
     "hybrid:<blocks>x<tpb>[+pipeline[:<depth>]][+tt:<mb>] | "
     "gpu-only:<blocks>x<tpb>[+pipeline[:<depth>]][+tt:<mb>] | "
     "dist:<ranks>x<blocks>x<tpb>";
@@ -237,10 +237,10 @@ TEST(SchemeSpecParseErrors, ExactTextForPipelineDepths) {
   // and the accepted range.
   for (const auto& [text, depth] :
        std::initializer_list<std::pair<const char*, const char*>>{
-           {"block:8x32+pipeline:0", "0"},
-           {"block:8x32+pipeline:9", "9"},
-           {"block:8x32+pipeline:two", "two"},
-           {"block:8x32+pipeline:", ""}}) {
+           {"hybrid:8x32+pipeline:0", "0"},
+           {"hybrid:8x32+pipeline:9", "9"},
+           {"hybrid:8x32+pipeline:two", "two"},
+           {"hybrid:8x32+pipeline:", ""}}) {
     EXPECT_EQ(parse_error(text),
               "bad scheme spec \"" + std::string(text) +
                   "\": pipeline depth \"" + depth +
@@ -296,8 +296,28 @@ TEST(SchemeSpecParseErrors, ExactTextForMisplacedTt) {
 TEST(SchemeSpecParseErrors, ExactTextForMisplacedPipeline) {
   EXPECT_EQ(parse_error("dist:2x8x32+pipeline"),
             "bad scheme spec \"dist:2x8x32+pipeline\": \"+pipeline\" applies "
-            "only to the GPU round schemes (leaf, block, hybrid, gpu-only); " +
+            "only to the hybrid schemes (hybrid, gpu-only); " +
                 std::string(kGrammar));
+}
+
+TEST(SchemeSpecParseErrors, LeafAndBlockRejectThePipelineSuffix) {
+  // Leaf and block rounds are synchronous: the suffix is a parse error, and
+  // a programmatic with_pipeline() is a contract violation, not a no-op.
+  EXPECT_EQ(parse_error("block:8x32+pipeline"),
+            "bad scheme spec \"block:8x32+pipeline\": \"+pipeline\" applies "
+            "only to the hybrid schemes (hybrid, gpu-only); " +
+                std::string(kGrammar));
+  EXPECT_EQ(parse_error("leaf:4x64+pipeline:3"),
+            "bad scheme spec \"leaf:4x64+pipeline:3\": \"+pipeline\" applies "
+            "only to the hybrid schemes (hybrid, gpu-only); " +
+                std::string(kGrammar));
+  for (const SchemeSpec& spec :
+       {SchemeSpec::block_gpu(8, 32).with_pipeline(),
+        SchemeSpec::leaf_gpu(4, 64).with_pipeline().with_pipeline_depth(3)}) {
+    EXPECT_THROW((void)make_searcher<reversi::ReversiGame>(spec),
+                 util::ContractViolation)
+        << spec.scheme;
+  }
 }
 
 TEST(SchemeSpecParseErrors, ExactTextPerFormRow) {
@@ -377,23 +397,23 @@ TEST(SchemeSpecToString, PipelineSuffixRoundTrips) {
   // Depth 2 is the suffix default, so it canonicalizes to bare "+pipeline";
   // other depths keep the explicit ":<depth>".
   for (const char* text :
-       {"leaf:16x64+pipeline", "block:112x128+pipeline:3",
-        "hybrid:112x64+pipeline", "gpu-only:112x64+pipeline:4",
-        "block:8x32+pipeline:1"}) {
+       {"hybrid:16x64+pipeline", "hybrid:112x128+pipeline:3",
+        "gpu-only:112x64+pipeline", "gpu-only:112x64+pipeline:4",
+        "hybrid:8x32+pipeline:1"}) {
     const SchemeSpec spec = SchemeSpec::parse(text);
     EXPECT_EQ(spec.to_string(), text);
     const SchemeSpec again = SchemeSpec::parse(spec.to_string());
     EXPECT_EQ(again.pipeline, spec.pipeline);
     EXPECT_EQ(again.pipeline_depth, spec.pipeline_depth);
   }
-  EXPECT_EQ(SchemeSpec::parse("block:8x32+pipeline:2").to_string(),
-            "block:8x32+pipeline");
+  EXPECT_EQ(SchemeSpec::parse("hybrid:8x32+pipeline:2").to_string(),
+            "hybrid:8x32+pipeline");
 }
 
 TEST(SchemeSpecToString, TtSuffixRoundTrips) {
   for (const char* text :
        {"seq+tt:64", "shared:4+tt:8", "shared:2:vl=0:wu+tt:16",
-        "leaf:16x64+tt:1", "block:112x128+pipeline:3+tt:64",
+        "leaf:16x64+tt:1", "hybrid:112x128+pipeline:3+tt:64",
         "gpu-only:112x64+tt:4096"}) {
     const SchemeSpec spec = SchemeSpec::parse(text);
     EXPECT_EQ(spec.to_string(), text);

@@ -6,7 +6,7 @@
 // FNV-1a hash over the complete trace event stream, track names included.
 // The RoundDriver reimplementation of the leaf/block/hybrid searchers must
 // reproduce all of it bit for bit — at exec thread count 1 and 4, faults on
-// or off, pipelining on or off.
+// or off, hybrid pipelining on or off.
 //
 // Regenerating goldens (only legitimate when the *seed* behaviour itself is
 // deliberately changed): GPU_MCTS_DUMP_GOLDEN=1 ./test_parallel \
@@ -111,9 +111,7 @@ std::uint64_t double_bits(double v) {
 }
 
 /// The result-and-stats half of encode(): move, SearchStats (doubles
-/// bitwise), and fault/recovery counts — for comparisons where the trace
-/// streams legitimately differ (a different pipeline depth changes the
-/// stream track layout but must not change results).
+/// bitwise), and fault/recovery counts.
 std::string encode_results(const SearchCapture& c) {
   std::string s;
   s += "m=" + std::to_string(c.move);
@@ -163,30 +161,22 @@ struct GoldenCase {
 // block_8x32_tt is younger than the seed: it was captured at exec_threads
 // = 1 from the executor that committed blocks in canonical order, and pins
 // the shared transposition table's store order across thread counts.
+// leaf_5x32 and block_7x32 replaced goldens of pipelined leaf/block rounds
+// at the same seeds, and their result halves (m= ... f=) equal those; the
+// hybrid/gpu-only pipelined goldens were captured from the driver that
+// still pipelined leaf and block rounds.
 std::vector<GoldenCase> golden_cases() {
   using engine::SchemeSpec;
   return {
       {"leaf_4x64",
        SchemeSpec::leaf_gpu(4, 64).with_seed(101),
        "m=19 s=3072 r=12 gr=12 ci=0 gs=3072 tn=14 md=2 vs=3fa9a992e0a2b3bf dw=3fa0bad473a05611 f=0/0 th=8bac6c7adc2d24ec tk=2"},
-      {"leaf_1x32_pipeline_ignored",
-       SchemeSpec::leaf_gpu(1, 32).with_seed(102).with_pipeline(),
+      {"leaf_1x32",
+       SchemeSpec::leaf_gpu(1, 32).with_seed(102),
        "m=19 s=416 r=13 gr=13 ci=0 gs=416 tn=18 md=3 vs=3fab5cca922b2419 dw=3fa06ae67616274c f=0/0 th=bb700cf535350b5d tk=2"},
-      {"leaf_5x32_pipelined_odd",
-       SchemeSpec::leaf_gpu(5, 32).with_seed(103).with_pipeline(),
-       "m=26 s=2080 r=13 gr=13 ci=0 gs=2080 tn=20 md=3 vs=3fabbc132d5b61e2 dw=3fa0d5792313738b f=0/0 th=5047b234a321797e tk=4"},
-      {"leaf_4x64_pipelined",
-       SchemeSpec::leaf_gpu(4, 64).with_seed(104).with_pipeline(),
-       "m=19 s=3072 r=12 gr=12 ci=0 gs=3072 tn=17 md=2 vs=3fa9b23c69c52da9 dw=3fa0c05bb0d99548 f=0/0 th=41ce5b5f5d37a8f9 tk=4"},
       {"block_8x32",
        SchemeSpec::block_gpu(8, 32).with_seed(105),
        "m=19 s=3072 r=12 gr=12 ci=0 gs=3072 tn=158 md=3 vs=3faa41141a1432be dw=3fa08d2facef68bf f=0/0 th=dcc39b599bbb83f2 tk=2"},
-      {"block_7x32_pipelined_odd",
-       SchemeSpec::block_gpu(7, 32).with_seed(106).with_pipeline(),
-       "m=44 s=2688 r=12 gr=12 ci=0 gs=2688 tn=138 md=3 vs=3faa4eb3df8afeba dw=3fa1e804f7ed77bb f=0/0 th=69132e076f2b7f9c tk=4"},
-      {"block_8x32_pipelined",
-       SchemeSpec::block_gpu(8, 32).with_seed(107).with_pipeline(),
-       "m=19 s=3072 r=12 gr=12 ci=0 gs=3072 tn=141 md=4 vs=3faa2fc1109ace30 dw=3fa08be46310a003 f=0/0 th=f3d0efc4ba07e2c5 tk=4"},
       {"hybrid_8x32",
        SchemeSpec::hybrid(8, 32).with_seed(108),
        "m=19 s=3336 r=12 gr=12 ci=264 gs=3072 tn=587 md=5 vs=3faa3e0a76ae19d8 dw=3fa09669cb00443c f=0/0 th=1dedb63712041600 tk=2"},
@@ -196,24 +186,12 @@ std::vector<GoldenCase> golden_cases() {
       {"block_8x32_faulted",
        faulted(SchemeSpec::block_gpu(8, 32).with_seed(110), 0.3, 0.0, 71),
        "m=37 s=3072 r=12 gr=12 ci=0 gs=3072 tn=160 md=3 vs=3faa0ee51e1d65a3 dw=3fa0e7771af856d1 f=1/1 th=93f6c6b74e65a6d0 tk=2"},
-      {"block_8x32_pipelined_faulted",
-       faulted(SchemeSpec::block_gpu(8, 32).with_seed(111).with_pipeline(),
-               0.3, 0.0, 72),
-       "m=26 s=1668 r=7 gr=7 ci=4 gs=1664 tn=85 md=2 vs=3fac9ef9673dd3b0 dw=3fa23ad56977352b f=7/7 th=4563c944234f1289 tk=4"},
       {"leaf_4x64_faulted",
        faulted(SchemeSpec::leaf_gpu(4, 64).with_seed(112), 0.3, 0.0, 73),
        "m=19 s=3072 r=15 gr=15 ci=0 gs=3072 tn=23 md=3 vs=3fa9a910b0dcadb5 dw=3f9cdf9f655b7efe f=0/0 th=65ba43eb3be03110 tk=2"},
-      {"leaf_4x64_pipelined_faulted",
-       faulted(SchemeSpec::leaf_gpu(4, 64).with_seed(113).with_pipeline(),
-               0.3, 0.0, 74),
-       "m=19 s=1792 r=8 gr=8 ci=0 gs=1792 tn=11 md=2 vs=3fadbe1ca3aef828 dw=3f9ff01a69b734e4 f=0/0 th=7c1a355f02af8fd5 tk=4"},
       {"hybrid_8x32_faulted",
        faulted(SchemeSpec::hybrid(8, 32).with_seed(114), 0.3, 0.2, 75),
        "m=19 s=3347 r=13 gr=12 ci=275 gs=3072 tn=626 md=5 vs=3fab5b23104b5e53 dw=3fa201c9456a5761 f=19/19 th=f8f95fdc190d3f88 tk=2"},
-      {"block_8x32_pipelined_transfer_faults",
-       faulted(SchemeSpec::block_gpu(8, 32).with_seed(115).with_pipeline(),
-               0.0, 0.4, 76),
-       "m=19 s=1412 r=6 gr=6 ci=4 gs=1408 tn=85 md=2 vs=3faa52000c399bf9 dw=3fa078920de4e668 f=16/16 th=152e2124e93fb955 tk=4"},
       {"block_8x32_tt",
        SchemeSpec::block_gpu(8, 32).with_seed(120).with_tt(1),
        "m=44 s=3072 r=12 gr=12 ci=0 gs=3072 tn=147 md=3 vs=3faa1e6e0cfe73d0 dw=3fa0a40102e4f4cc f=0/0 th=4a8e1d9e0f273b80 tk=2"},
@@ -286,30 +264,15 @@ TEST(DriverBitExact, GoldensHoldUnderEveryWarpBackend) {
 
 // ---- post-refactor invariants ---------------------------------------------
 // The N-way stream rotation is a capability the seed searchers did not have;
-// these pin the new depths against the synchronous/legacy behaviour.
-
-TEST(DriverDepth, ExplicitDepthTwoEqualsLegacyPipelineSuffix) {
-  // "+pipeline:2" must be byte-for-byte the old two-stream "+pipeline" —
-  // same goldens, same trace stream.
-  const auto block_legacy = run_search(
-      engine::SchemeSpec::block_gpu(8, 32).with_seed(107).with_pipeline(), 1);
-  const auto block_explicit = run_search(
-      engine::SchemeSpec::parse("block:8x32+pipeline:2").with_seed(107), 1);
-  EXPECT_EQ(encode(block_explicit), encode(block_legacy));
-
-  const auto leaf_legacy = run_search(
-      engine::SchemeSpec::leaf_gpu(4, 64).with_seed(104).with_pipeline(), 1);
-  const auto leaf_explicit = run_search(
-      engine::SchemeSpec::parse("leaf:4x64+pipeline:2").with_seed(104), 1);
-  EXPECT_EQ(encode(leaf_explicit), encode(leaf_legacy));
-}
+// these pin the hybrid scheme's depths against its synchronous behaviour.
 
 TEST(DriverDepth, DepthOneRunsTheSynchronousPath) {
   // Depth 1 is one cohort covering the whole grid: the driver takes the
   // synchronous path, so even the trace stream matches the unpipelined run.
   for (const engine::SchemeSpec& base :
-       {engine::SchemeSpec::leaf_gpu(4, 64).with_seed(101),
-        engine::SchemeSpec::block_gpu(8, 32).with_seed(105)}) {
+       {engine::SchemeSpec::hybrid(8, 32).with_seed(108),
+        engine::SchemeSpec::hybrid(8, 32, /*cpu_overlap=*/false)
+            .with_seed(109)}) {
     SCOPED_TRACE(base.to_string());
     const auto sync = run_search(base, 1);
     const auto depth1 =
@@ -318,23 +281,9 @@ TEST(DriverDepth, DepthOneRunsTheSynchronousPath) {
   }
 }
 
-TEST(DriverDepth, DepthThreeIsResultInvariantForLeafAndBlock) {
-  // Three stream cohorts instead of two: the trace stream legitimately
-  // differs (one more gpu.s<k> track), but moves, every SearchStats field,
-  // virtual time, and the fault log are depth-invariant.
-  for (const engine::SchemeSpec& base :
-       {engine::SchemeSpec::leaf_gpu(5, 32).with_seed(103),
-        engine::SchemeSpec::block_gpu(8, 32).with_seed(107)}) {
-    SCOPED_TRACE(base.to_string());
-    const auto sync = run_search(base, 1);
-    const auto depth3 =
-        run_search(base.with_pipeline().with_pipeline_depth(3), 1);
-    EXPECT_EQ(encode_results(depth3), encode_results(sync));
-  }
-}
-
 TEST(DriverDepth, DepthThreeHoldsAtFourExecThreads) {
-  const engine::SchemeSpec spec = engine::SchemeSpec::block_gpu(8, 32)
+  // Three stream cohorts without faults (the depth-3 golden is faulted).
+  const engine::SchemeSpec spec = engine::SchemeSpec::hybrid(8, 32)
                                       .with_seed(107)
                                       .with_pipeline()
                                       .with_pipeline_depth(3);

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -74,64 +72,6 @@ TEST(Merge, AllFaultedSearchStillReturnsSmallestMoveDeterministically) {
       searcher.choose_move(TicTacToe::initial_state(), 1e-7);
   EXPECT_EQ(searcher.last_stats().simulations, 0u);
   EXPECT_EQ(move, 0);  // smallest legal opening move, by contract
-}
-
-TEST(SumTallies, AddsEveryFieldInSlotOrder) {
-  const std::vector<simt::BlockResult> tallies = {
-      {.value_first = 1.5, .value_sq_first = 1.25, .simulations = 3,
-       .total_plies = 40},
-      {.value_first = 0.0, .value_sq_first = 0.0, .simulations = 0,
-       .total_plies = 0},
-      {.value_first = 2.0, .value_sq_first = 2.0, .simulations = 4,
-       .total_plies = 55},
-  };
-  const simt::BlockResult sum = sum_tallies(tallies);
-  EXPECT_DOUBLE_EQ(sum.value_first, 3.5);
-  EXPECT_DOUBLE_EQ(sum.value_sq_first, 3.25);
-  EXPECT_EQ(sum.simulations, 7u);
-  EXPECT_EQ(sum.total_plies, 95u);
-}
-
-TEST(SumTallies, EmptySpanIsTheZeroTally) {
-  const simt::BlockResult sum = sum_tallies({});
-  EXPECT_EQ(sum.value_first, 0.0);
-  EXPECT_EQ(sum.value_sq_first, 0.0);
-  EXPECT_EQ(sum.simulations, 0u);
-  EXPECT_EQ(sum.total_plies, 0u);
-}
-
-TEST(SumTallies, SliceRegroupingIsBitIdenticalToTheFlatSum) {
-  // The property the pipelined leaf path relies on (DESIGN.md §10/§11):
-  // summing contiguous slices and then the slice sums is bit-identical to
-  // one flat slot-order sum, because playout tallies are dyadic rationals
-  // (multiples of 0.5) whose partial sums stay exact in double.
-  std::vector<simt::BlockResult> slots;
-  util::XorShift128Plus rng(77);
-  for (int i = 0; i < 24; ++i) {
-    const auto wins = static_cast<double>(rng() % 257);
-    slots.push_back({.value_first = wins * 0.5,
-                     .value_sq_first = wins * 0.5,
-                     .simulations = static_cast<std::uint32_t>(rng() % 9),
-                     .total_plies = rng() % 1000});
-  }
-  const simt::BlockResult flat = sum_tallies(slots);
-  for (const std::size_t cut_a : {std::size_t{1}, std::size_t{8}}) {
-    for (const std::size_t cut_b : {std::size_t{13}, std::size_t{23}}) {
-      const std::span<const simt::BlockResult> all(slots);
-      const std::vector<simt::BlockResult> partials = {
-          sum_tallies(all.subspan(0, cut_a)),
-          sum_tallies(all.subspan(cut_a, cut_b - cut_a)),
-          sum_tallies(all.subspan(cut_b)),
-      };
-      const simt::BlockResult regrouped = sum_tallies(partials);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(regrouped.value_first),
-                std::bit_cast<std::uint64_t>(flat.value_first));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(regrouped.value_sq_first),
-                std::bit_cast<std::uint64_t>(flat.value_sq_first));
-      EXPECT_EQ(regrouped.simulations, flat.simulations);
-      EXPECT_EQ(regrouped.total_plies, flat.total_plies);
-    }
-  }
 }
 
 TEST(Merge, EmptyThrows) {

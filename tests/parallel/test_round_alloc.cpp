@@ -120,31 +120,12 @@ TEST(RoundAlloc, LeafSyncRoundsAreNearAllocationFree) {
                            8.0);
 }
 
-TEST(RoundAlloc, LeafPipelinedRoundsAreBounded) {
-  // The pipelined path's per-round ticket/launch/flag/trace vectors are
-  // hoisted; what remains is the stream machinery itself (a queued op and
-  // a warp-trace vector per launch, two launches per round), which this
-  // bound admits. The driver's old per-round vector churn sat well above
-  // it.
-  expect_bounded_per_round(
-      engine::SchemeSpec::leaf_gpu(4, 64).with_seed(7).with_pipeline(),
-      24.0);
-}
-
 TEST(RoundAlloc, BlockSyncRoundsAreNearAllocationFree) {
   // The synchronous block round is also every served ticket's round
   // (serve::SearchService). It measured 6 allocations per round when this
   // bound was set; the bound keeps the leaf sync case's headroom.
   expect_bounded_per_round(engine::SchemeSpec::block_gpu(8, 32).with_seed(7),
                            8.0);
-}
-
-TEST(RoundAlloc, BlockPipelinedRoundsStayBounded) {
-  // Block parallelism legitimately allocates tree nodes every round; the
-  // bound admits that growth while still catching per-round vector churn.
-  expect_bounded_per_round(
-      engine::SchemeSpec::block_gpu(8, 32).with_seed(7).with_pipeline(),
-      64.0);
 }
 
 TEST(RoundAlloc, HybridPipelinedRoundsStayBounded) {

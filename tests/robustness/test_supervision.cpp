@@ -55,26 +55,22 @@ using G = reversi::ReversiGame;
   config.seed = seed;
   config.ucb_c = mcts::kBatchUcbC;
   const simt::LaunchConfig launch{.blocks = 6, .threads_per_block = 32};
-  const bool pipelined = depth >= 2;
   if (scheme == "leaf") {
     parallel::LeafParallelGpuSearcher<G>::Options o;
     o.launch = launch;
-    o.pipeline = pipelined;
-    o.pipeline_depth = depth;
     return std::make_unique<parallel::LeafParallelGpuSearcher<G>>(
         o, config, std::move(gpu));
   }
   if (scheme == "block") {
     parallel::BlockParallelGpuSearcher<G>::Options o;
     o.launch = launch;
-    o.pipeline = pipelined;
-    o.pipeline_depth = depth;
     return std::make_unique<parallel::BlockParallelGpuSearcher<G>>(
         o, config, std::move(gpu));
   }
+  // Only hybrid rounds pipeline; `depth` is its stream cohort count.
   parallel::HybridSearcher<G>::Options o;
   o.launch = launch;
-  o.pipeline = pipelined;
+  o.pipeline = depth >= 2;
   o.pipeline_depth = depth;
   return std::make_unique<parallel::HybridSearcher<G>>(o, config,
                                                        std::move(gpu));
@@ -87,15 +83,15 @@ using G = reversi::ReversiGame;
 // faster than that one stopped on the budget before the 150 ms deadline.
 // 1e5 virtual seconds would take ~200 s of wall time to spend, so the
 // virtual budget alone never ends the search. With a wall deadline set,
-// every scheme at every pipeline depth must return a legal move within 2x
-// the deadline (plus scheduling slack for slow CI), report kWallDeadline
-// with budget left over, and account for every injected hang through the
-// watchdog.
+// every scheme (hybrid at every pipeline depth) must return a legal move
+// within 2x the deadline (plus scheduling slack for slow CI), report
+// kWallDeadline with budget left over, and account for every injected hang
+// through the watchdog.
 TEST(Supervision, AllSchemesSurviveTotalHangStormWithinWallBound) {
   constexpr double kWallMs = 150.0;
   const auto state = G::initial_state();
   for (const std::string scheme : {"leaf", "block", "hybrid"}) {
-    for (int depth = 1; depth <= 3; ++depth) {
+    for (int depth = 1; depth <= (scheme == "hybrid" ? 3 : 1); ++depth) {
       SCOPED_TRACE(scheme + " depth " + std::to_string(depth));
       auto searcher = make_gpu_searcher(
           scheme, depth, hanging_gpu(1.0, 2.0, 23), 23);
@@ -254,8 +250,8 @@ TEST(Supervision, DefaultBudgetIsBitIdenticalToDoubleOverload) {
   // overload exactly: same move, same stats, kBudget stop reason. This is
   // the contract that keeps the PR-5 bit-exactness goldens valid.
   const auto state = G::initial_state();
-  auto classic = make_gpu_searcher("block", 2, simt::VirtualGpu(), 5);
-  auto budgeted = make_gpu_searcher("block", 2, simt::VirtualGpu(), 5);
+  auto classic = make_gpu_searcher("hybrid", 2, simt::VirtualGpu(), 5);
+  auto budgeted = make_gpu_searcher("hybrid", 2, simt::VirtualGpu(), 5);
   const auto move_a = classic->choose_move(state, 0.008);
   const auto move_b = budgeted->choose_move(
       state, mcts::SearchBudget::from_seconds(0.008));
