@@ -78,8 +78,9 @@ struct SchemeSpec {
   bool cpu_overlap = true;
   /// Hybrid (and gpu-only): pipelined rounds over stream cohorts, with CPU
   /// iterations overlapped against each in-flight cohort kernel (the
-  /// "+pipeline[:<depth>]" spec suffix, DESIGN.md §10). The factory
-  /// rejects it for every other scheme.
+  /// "+pipeline[:<depth>]" spec suffix, DESIGN.md §10). parse() rejects
+  /// the suffix on every other scheme, and make_searcher rejects the field
+  /// on leaf-gpu and block-gpu.
   bool pipeline = false;
   /// Stream cohorts per pipelined round (the ":<depth>" of the suffix,
   /// default 2). Clamped to the device stream count and block count by the

@@ -110,9 +110,9 @@ std::uint64_t double_bits(double v) {
   return bits;
 }
 
-/// The result-and-stats half of encode(): move, SearchStats (doubles
-/// bitwise), and fault/recovery counts.
-std::string encode_results(const SearchCapture& c) {
+/// One line that pins everything: move, SearchStats (doubles bitwise),
+/// fault/recovery counts, the trace stream hash and the track count.
+std::string encode(const SearchCapture& c) {
   std::string s;
   s += "m=" + std::to_string(c.move);
   s += " s=" + std::to_string(c.stats.simulations);
@@ -126,13 +126,6 @@ std::string encode_results(const SearchCapture& c) {
   s += " dw=" + hex64(double_bits(c.stats.divergence_waste));
   s += " f=" + std::to_string(c.stats.faults.faults()) + "/" +
        std::to_string(c.stats.faults.recoveries());
-  return s;
-}
-
-/// One line that pins everything: the results above plus the trace stream
-/// hash and the track count.
-std::string encode(const SearchCapture& c) {
-  std::string s = encode_results(c);
   s += " th=" + hex64(c.trace_hash);
   s += " tk=" + std::to_string(c.tracks);
   return s;
